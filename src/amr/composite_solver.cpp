@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/timer.hpp"
+#include "exec/runtime.hpp"
 #include "gmg/operators.hpp"
 #include "trace/trace.hpp"
 
@@ -49,7 +50,7 @@ real_t CompositeSolver::composite_residual(comm::Communicator& comm) {
     restrict_patch(h_.rH(), P.r, g);
     local = max_norm(P.r);
   }
-  local = std::max(local, max_norm(h_.rH()));
+  local = exec::nan_max(local, max_norm(h_.rH()));
   return static_cast<real_t>(comm.allreduce_max(local));
 }
 

@@ -81,15 +81,6 @@ void sweep_rows(const char* name, const Box& box, Fn&& fn) {
   });
 }
 
-/// Coarse-cell cover of a fine-cell box (2x refinement).
-Box coarse_cover(const Box& fine) {
-  if (fine.empty()) return Box{};
-  return Box{{floor_div(fine.lo.x, 2), floor_div(fine.lo.y, 2),
-              floor_div(fine.lo.z, 2)},
-             {floor_div(fine.hi.x - 1, 2) + 1, floor_div(fine.hi.y - 1, 2) + 1,
-              floor_div(fine.hi.z - 1, 2) + 1}};
-}
-
 /// One coarse interface face of the patch: the outside cell layer, the
 /// covered neighbor offset, and the fine interface layers.
 struct InterfaceFace {
@@ -147,14 +138,10 @@ void prolong_interface_ghosts(BrickedArray& px, const BrickedArray& xH,
     if (!intersect(ghost_global, g.patch_fine).empty()) {
       continue;  // interior face: PatchExchange fills these ghosts
     }
-    // Local (part-relative) write box and the coarse cells it reads:
-    // the parent cover grown one cell for the far trilinear taps.
+    // Local (part-relative) write box.
     const Box ghost_local = shift(ghost_global, Vec3{} - fine_lo);
-    const Box read_local =
-        shift(grow(coarse_cover(ghost_global), 1), Vec3{} - coarse_lo);
     const auto scope = check::scope_if_enabled(
-        "amr.prolongGhosts", {check::access(px, ghost_local)},
-        {check::access(xH, read_local)});
+        "amr.prolongGhosts", {check::access(px, ghost_local)});
     sweep_rows("amr.prolongGhosts", ghost_global,
                [&](index_t gi, index_t gj, index_t gk) {
                  const index_t ci = floor_div(gi, 2), cj = floor_div(gj, 2),
@@ -178,27 +165,14 @@ void reflux_residual(BrickedArray& rH, const BrickedArray& xH,
   const Vec3 fine_lo = g.part_fine.lo;
   const Vec3 coarse_lo = g.rank_coarse.lo;
 
-  // Declare the exact union of per-face accesses up front: writes are
-  // the interface cell layers, coarse reads extend one cell toward the
-  // patch (the covered neighbor d), fine reads are the two-layer slab
-  // straddling each refined face.
-  std::vector<check::Access> writes, reads;
+  // Declare the union of per-face writes up front: the interface cell
+  // layers.
+  std::vector<check::Access> writes;
   for (const InterfaceFace& f : faces) {
-    const Box face_local = shift(f.cells, Vec3{} - coarse_lo);
-    writes.push_back(check::access(rH, face_local));
-    reads.push_back(check::access(xH, grow(face_local, 1)));
-    Box fine_slab;
-    for (int d = 0; d < 3; ++d) {
-      fine_slab.lo[d] = 2 * f.cells.lo[d];
-      fine_slab.hi[d] = 2 * f.cells.hi[d];
-    }
-    fine_slab.lo[f.axis] = std::min(f.fine_in, f.fine_g);
-    fine_slab.hi[f.axis] = std::max(f.fine_in, f.fine_g) + 1;
-    reads.push_back(check::access(px, shift(fine_slab, Vec3{} - fine_lo)));
+    writes.push_back(check::access(rH, shift(f.cells, Vec3{} - coarse_lo)));
   }
   const auto scope =
-      check::scope_if_enabled("amr.reflux", std::move(writes),
-                              std::move(reads));
+      check::scope_if_enabled("amr.reflux", std::move(writes));
 
   for (const InterfaceFace& f : faces) {
     const int a = f.axis, t1 = (a + 1) % 3, t2 = (a + 2) % 3;
@@ -241,8 +215,7 @@ void restrict_patch(BrickedArray& coarse, const BrickedArray& fine,
   const Vec3 coarse_lo = g.rank_coarse.lo;
   const Box covered_local = shift(covered, Vec3{} - coarse_lo);
   const auto scope = check::scope_if_enabled(
-      "amr.restrictPatch", {check::access(coarse, covered_local)},
-      {check::access(fine, shift(refine(covered, 2), Vec3{} - fine_lo))});
+      "amr.restrictPatch", {check::access(coarse, covered_local)});
   sweep_rows("amr.restrictPatch", covered,
              [&](index_t ci, index_t cj, index_t ck) {
                const index_t fi = 2 * ci - fine_lo.x;
@@ -270,11 +243,8 @@ void correct_patch(BrickedArray& px, const BrickedArray& e,
   const Vec3 fine_lo = g.part_fine.lo;
   const Vec3 coarse_lo = g.rank_coarse.lo;
   const Box part_local = Box::from_extent(g.part_fine.extent());
-  const Box covered_local =
-      shift(coarse_cover(g.part_fine), Vec3{} - coarse_lo);
   const auto scope = check::scope_if_enabled(
-      "amr.correctPatch", {check::access(px, part_local)},
-      {check::access(e, covered_local)});
+      "amr.correctPatch", {check::access(px, part_local)});
   sweep_rows("amr.correctPatch", g.part_fine,
              [&](index_t gi, index_t gj, index_t gk) {
                px(gi - fine_lo.x, gj - fine_lo.y, gk - fine_lo.z) +=

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -117,16 +118,20 @@ void init_zero(Array3D& a) {
 
 real_t max_norm(const Array3D& a) {
   real_t m = 0.0;
+  int nan = 0;  // the max reduction drops NaN; carry it separately
   const Box region = a.interior();
-#pragma omp parallel for collapse(2) schedule(static) reduction(max : m)
+#pragma omp parallel for collapse(2) schedule(static) reduction(max : m) \
+    reduction(| : nan)
   for (index_t k = region.lo.z; k < region.hi.z; ++k) {
     for (index_t j = region.lo.y; j < region.hi.y; ++j) {
       for (index_t i = region.lo.x; i < region.hi.x; ++i) {
-        m = std::max(m, std::abs(a(i, j, k)));
+        const real_t v = std::abs(a(i, j, k));
+        m = std::max(m, v);
+        nan |= v != v;
       }
     }
   }
-  return m;
+  return nan ? std::numeric_limits<real_t>::quiet_NaN() : m;
 }
 
 }  // namespace gmg::baseline

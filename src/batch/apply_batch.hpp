@@ -75,14 +75,6 @@ inline const BrickGrid* slot_grid(const BatchedBrickedArray& f) {
 }
 inline const BrickGrid* slot_grid(const BrickedArray& f) { return &f.grid(); }
 
-inline check::Access slot_access(const BatchedBrickedArray& f,
-                                 const Box& reach) {
-  return check::access(f.inner(), stretch_box(reach, f.batch()));
-}
-inline check::Access slot_access(const BrickedArray& f, const Box& reach) {
-  return check::access(f, reach);
-}
-
 inline void slot_require_shape(const BatchedBrickedArray& f, BrickShape base,
                                int k) {
   GMG_REQUIRE(f.base_shape() == base && f.batch() == k,
@@ -118,23 +110,9 @@ void apply_batched_impl(BD, const Expr& expr, BatchedBrickedArray& out,
 
   std::optional<check::KernelScope> scope;
   if (check::enabled()) {
-    const dsl::OffsetSet offs = expr.offsets();
-    std::vector<check::Access> reads;
-    reads.reserve(kSlots);
-    int slot = 0;
-    const auto add_read = [&](const auto& f) {
-      const dsl::Extents se = offs.slot_extents(slot++);
-      const Box reach{{active.lo.x + se.lo[0], active.lo.y + se.lo[1],
-                       active.lo.z + se.lo[2]},
-                      {active.hi.x + se.hi[0], active.hi.y + se.hi[1],
-                       active.hi.z + se.hi[2]}};
-      reads.push_back(slot_access(f, reach));
-    };
-    (add_read(inputs), ...);
     scope.emplace("batch.apply",
                   std::vector<check::Access>{check::access(
-                      out.inner(), stretch_box(active, out.batch()))},
-                  std::move(reads));
+                      out.inner(), stretch_box(active, out.batch()))});
   }
 
   {

@@ -300,8 +300,7 @@ void apply_op(BatchedBrickedArray& Ax, const BatchedBrickedArray& x,
   count_flops(batch_points(active, x), 8);
   const auto scope = check::scope_if_enabled(
       "kernel.applyOp",
-      {check::access(Ax.inner(), stretch_box(active, Ax.batch()))},
-      {check::access(x.inner(), stretch_box(grow(active, 1), x.batch()))});
+      {check::access(Ax.inner(), stretch_box(active, Ax.batch()))});
   with_brick_dims(x.base_shape(), [&](auto bd) {
     apply_op_7pt_b(bd, Ax, x, alpha, beta, active);
   });
@@ -315,9 +314,7 @@ void smooth(BatchedBrickedArray& x, const BatchedBrickedArray& Ax,
   count_flops(batch_points(active, x), 3);
   const auto scope = check::scope_if_enabled(
       "kernel.smooth",
-      {check::access(x.inner(), stretch_box(active, x.batch()))},
-      {check::access(Ax.inner(), stretch_box(active, x.batch())),
-       check::access(b.inner(), stretch_box(active, x.batch()))});
+      {check::access(x.inner(), stretch_box(active, x.batch()))});
   with_brick_dims(x.base_shape(), [&](auto bd) {
     const index_t K = static_cast<index_t>(x.batch());
     real_t* __restrict xp = x.data();
@@ -346,9 +343,7 @@ void smooth_residual(BatchedBrickedArray& x, BatchedBrickedArray& r,
   const auto scope = check::scope_if_enabled(
       "kernel.smoothResidual",
       {check::access(x.inner(), stretch_box(active, x.batch())),
-       check::access(r.inner(), stretch_box(active, x.batch()))},
-      {check::access(Ax.inner(), stretch_box(active, x.batch())),
-       check::access(b.inner(), stretch_box(active, x.batch()))});
+       check::access(r.inner(), stretch_box(active, x.batch()))});
   with_brick_dims(x.base_shape(), [&](auto bd) {
     const index_t K = static_cast<index_t>(x.batch());
     real_t* __restrict xp = x.data();
@@ -377,9 +372,7 @@ void residual(BatchedBrickedArray& r, const BatchedBrickedArray& b,
   count_flops(batch_points(active, r), 1);
   const auto scope = check::scope_if_enabled(
       "kernel.residual",
-      {check::access(r.inner(), stretch_box(active, r.batch()))},
-      {check::access(b.inner(), stretch_box(active, r.batch())),
-       check::access(Ax.inner(), stretch_box(active, r.batch()))});
+      {check::access(r.inner(), stretch_box(active, r.batch()))});
   with_brick_dims(r.base_shape(), [&](auto bd) {
     const index_t K = static_cast<index_t>(r.batch());
     real_t* __restrict rp = r.data();
@@ -407,8 +400,7 @@ void restriction(BatchedBrickedArray& coarse, const BatchedBrickedArray& fine) {
   count_flops(static_cast<std::uint64_t>(ce.x) * ce.y * ce.z, 8);
   const auto scope = check::scope_if_enabled(
       "kernel.restriction",
-      {check::access(coarse.inner(), Box::from_extent(ce))},
-      {check::access(fine.inner(), Box::from_extent(fe))});
+      {check::access(coarse.inner(), Box::from_extent(ce))});
   with_brick_dims(fine.base_shape(), [&](auto bd) {
     using BD = decltype(bd);
     static_assert(BD::bx % 2 == 0 && BD::by % 2 == 0 && BD::bz % 2 == 0);
@@ -479,10 +471,7 @@ void smooth_residual_restrict(BatchedBrickedArray& x, BatchedBrickedArray& r,
       "kernel.smoothResidualRestrict",
       {check::access(x.inner(), stretch_box(active, x.batch())),
        check::access(r.inner(), stretch_box(active, x.batch())),
-       check::access(coarse_b.inner(), Box::from_extent(ce))},
-      {check::access(Ax.inner(), stretch_box(active, x.batch())),
-       check::access(b.inner(), stretch_box(active, x.batch())),
-       check::access(r.inner(), Box::from_extent(r.inner().extent()))});
+       check::access(coarse_b.inner(), Box::from_extent(ce))});
   with_brick_dims(x.base_shape(), [&](auto bd) {
     using BD = decltype(bd);
     static_assert(BD::bx % 2 == 0 && BD::by % 2 == 0 && BD::bz % 2 == 0);
@@ -524,11 +513,7 @@ void smooth_residual_restrict_varcoef(
       "kernel.smoothResidualRestrictVarCoef",
       {check::access(x.inner(), stretch_box(active, x.batch())),
        check::access(r.inner(), stretch_box(active, x.batch())),
-       check::access(coarse_b.inner(), Box::from_extent(ce))},
-      {check::access(Ax.inner(), stretch_box(active, x.batch())),
-       check::access(b.inner(), stretch_box(active, x.batch())),
-       check::access(diag, active),
-       check::access(r.inner(), Box::from_extent(r.inner().extent()))});
+       check::access(coarse_b.inner(), Box::from_extent(ce))});
   with_brick_dims(x.base_shape(), [&](auto bd) {
     using BD = decltype(bd);
     static_assert(BD::bx % 2 == 0 && BD::by % 2 == 0 && BD::bz % 2 == 0);
@@ -574,10 +559,7 @@ void residual_restrict(BatchedBrickedArray& r, BatchedBrickedArray& coarse_b,
   const auto scope = check::scope_if_enabled(
       "kernel.residualRestrict",
       {check::access(r.inner(), Box::from_extent(fe)),
-       check::access(coarse_b.inner(), Box::from_extent(ce))},
-      {check::access(b.inner(), Box::from_extent(fe)),
-       check::access(Ax.inner(), Box::from_extent(fe)),
-       check::access(r.inner(), Box::from_extent(fe))});
+       check::access(coarse_b.inner(), Box::from_extent(ce))});
   with_brick_dims(r.base_shape(), [&](auto bd) {
     using BD = decltype(bd);
     static_assert(BD::bx % 2 == 0 && BD::by % 2 == 0 && BD::bz % 2 == 0);
@@ -624,8 +606,7 @@ void interpolation_increment(BatchedBrickedArray& fine,
   count_flops(static_cast<std::uint64_t>(fe.x) * fe.y * fe.z, 1);
   const auto scope = check::scope_if_enabled(
       "kernel.interpIncrement",
-      {check::access(fine.inner(), Box::from_extent(fe))},
-      {check::access(coarse.inner(), Box::from_extent(ce))});
+      {check::access(fine.inner(), Box::from_extent(fe))});
   with_brick_dims(fine.base_shape(), [&](auto bd) {
     using BD = decltype(bd);
     const index_t K = static_cast<index_t>(fine.batch());
@@ -677,9 +658,7 @@ void gs_color_sweep(BatchedBrickedArray& x, const BatchedBrickedArray& b,
   count_flops(batch_points(active, x) / 2, 9);
   const auto scope = check::scope_if_enabled(
       "kernel.gsColorSweep",
-      {check::access(x.inner(), stretch_box(active, x.batch()))},
-      {check::access(x.inner(), stretch_box(grow(active, 1), x.batch())),
-       check::access(b.inner(), stretch_box(active, x.batch()))});
+      {check::access(x.inner(), stretch_box(active, x.batch()))});
   with_brick_dims(x.base_shape(), [&](auto bd) {
     using BD = decltype(bd);
     const BrickGrid& grid = x.grid();
@@ -771,7 +750,8 @@ void init_zero(BatchedBrickedArray& a) { gmg::init_zero(a.inner()); }
 
 real_t max_norm(const BatchedBrickedArray& a, int c) {
   // fp max is exactly associative, so a direct strided reduce matches
-  // solo regardless of chunking or vectorization.
+  // solo regardless of chunking or vectorization; nan_max keeps a NaN
+  // the way solo's NaN flag does.
   const real_t* __restrict p = a.data();
   const std::size_t K = static_cast<std::size_t>(a.batch());
   const std::size_t cc = static_cast<std::size_t>(c);
@@ -780,7 +760,7 @@ real_t max_norm(const BatchedBrickedArray& a, int c) {
       [&](std::int64_t lo, std::int64_t hi) {
         real_t local = 0.0;
         for (std::int64_t i = lo; i < hi; ++i) {
-          local = std::max(
+          local = exec::nan_max(
               local, std::abs(p[static_cast<std::size_t>(i) * K + cc]));
         }
         return local;
@@ -886,8 +866,7 @@ void axpy(BatchedBrickedArray& y, real_t alpha, const BatchedBrickedArray& x,
   require_compatible(y, x);
   const auto scope = check::scope_if_enabled(
       "kernel.axpyActive",
-      {check::access(y.inner(), stretch_box(active, y.batch()))},
-      {check::access(x.inner(), stretch_box(active, y.batch()))});
+      {check::access(y.inner(), stretch_box(active, y.batch()))});
   with_brick_dims(y.base_shape(), [&](auto bd) {
     const index_t K = static_cast<index_t>(y.batch());
     real_t* __restrict py = y.data();
@@ -908,8 +887,7 @@ void cheby_p_update(BatchedBrickedArray& p, const BatchedBrickedArray& r,
   require_compatible(p, r);
   const auto scope = check::scope_if_enabled(
       "kernel.chebyP",
-      {check::access(p.inner(), stretch_box(active, p.batch()))},
-      {check::access(r.inner(), stretch_box(active, p.batch()))});
+      {check::access(p.inner(), stretch_box(active, p.batch()))});
   with_brick_dims(p.base_shape(), [&](auto bd) {
     const index_t K = static_cast<index_t>(p.batch());
     real_t* __restrict pp = p.data();
@@ -950,10 +928,7 @@ void smooth_residual_varcoef(BatchedBrickedArray& x, BatchedBrickedArray& r,
   const auto scope = check::scope_if_enabled(
       "kernel.smoothResidualVarCoef",
       {check::access(x.inner(), stretch_box(active, x.batch())),
-       check::access(r.inner(), stretch_box(active, x.batch()))},
-      {check::access(Ax.inner(), stretch_box(active, x.batch())),
-       check::access(b.inner(), stretch_box(active, x.batch())),
-       check::access(diag, active)});
+       check::access(r.inner(), stretch_box(active, x.batch()))});
   with_brick_dims(x.base_shape(), [&](auto bd) {
     const index_t K = static_cast<index_t>(x.batch());
     real_t* __restrict xp = x.data();
@@ -987,10 +962,7 @@ void smooth_varcoef(BatchedBrickedArray& x, const BatchedBrickedArray& Ax,
   count_flops(batch_points(active, x), 5);
   const auto scope = check::scope_if_enabled(
       "kernel.smoothVarCoef",
-      {check::access(x.inner(), stretch_box(active, x.batch()))},
-      {check::access(Ax.inner(), stretch_box(active, x.batch())),
-       check::access(b.inner(), stretch_box(active, x.batch())),
-       check::access(diag, active)});
+      {check::access(x.inner(), stretch_box(active, x.batch()))});
   with_brick_dims(x.base_shape(), [&](auto bd) {
     const index_t K = static_cast<index_t>(x.batch());
     real_t* __restrict xp = x.data();
@@ -1018,9 +990,7 @@ void cheby_p_update_varcoef(BatchedBrickedArray& p,
   require_compatible(p, r);
   const auto scope = check::scope_if_enabled(
       "kernel.chebyPVarCoef",
-      {check::access(p.inner(), stretch_box(active, p.batch()))},
-      {check::access(r.inner(), stretch_box(active, p.batch())),
-       check::access(diag, active)});
+      {check::access(p.inner(), stretch_box(active, p.batch()))});
   with_brick_dims(p.base_shape(), [&](auto bd) {
     const index_t K = static_cast<index_t>(p.batch());
     real_t* __restrict pp = p.data();

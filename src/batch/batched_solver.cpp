@@ -133,102 +133,6 @@ void BatchedSolver::exchange_for_smooth(comm::Communicator& comm, int l) {
   bl.margin = base_level(l).shape.bx;
 }
 
-bool BatchedSolver::use_overlap(int l) const {
-  const GmgOptions& opts = base_.options();
-  const MgLevel& lev = base_level(l);
-  const BatchLevel& bl = levels_[static_cast<std::size_t>(l)];
-  if (!(opts.overlap && lev.has_remote &&
-        static_cast<int>(lev.part.interior.size()) >=
-            opts.overlap_min_interior_bricks)) {
-    return false;
-  }
-  if (opts.overlap_min_compute_bytes_ratio > 0.0) {
-    // Stretched numbers on both sides of the ratio (interior work and
-    // remote payload both scale by K, so the cutoff is K-invariant).
-    const double interior_bytes =
-        static_cast<double>(lev.part.interior.size()) *
-        static_cast<double>(lev.shape.volume()) *
-        static_cast<double>(k_) * sizeof(real_t);
-    const double remote_bytes =
-        static_cast<double>(bl.exchange->remote_bytes_per_exchange());
-    if (interior_bytes <
-        opts.overlap_min_compute_bytes_ratio * remote_bytes) {
-      return false;
-    }
-  }
-  return true;
-}
-
-exec::Engine& BatchedSolver::engine() {
-  exec::Engine& eng = exec::default_engine();
-  const std::uint64_t gen = exec::default_engine_generation();
-  if (gen != engine_generation_) {
-    compute_stream_ = eng.create_stream("batch.compute");
-    engine_generation_ = gen;
-  }
-  return eng;
-}
-
-void BatchedSolver::begin_exchange_for_smooth(comm::Communicator& comm,
-                                              int l) {
-  const GmgOptions& opts = base_.options();
-  BatchLevel& bl = levels_[static_cast<std::size_t>(l)];
-  const bool with_p =
-      opts.smoother == Smoother::kChebyshev && bl.p.size() != 0;
-  std::vector<BrickedArray*> fields{&bl.x.inner()};
-  if (opts.communication_avoiding && !bl.b_ghosts_valid) {
-    fields.push_back(&bl.b.inner());
-    bl.b_ghosts_valid = true;
-  }
-  if (with_p && opts.communication_avoiding) fields.push_back(&bl.p.inner());
-  bl.exchange->begin(comm, std::move(fields));
-  // Margin claimed at begin time, completed by
-  // finish_exchange_overlapped — same contract as the solo solver.
-  bl.margin = base_level(l).shape.bx;
-}
-
-Box BatchedSolver::overlap_safe_box(const MgLevel& lev,
-                                    const Box& active) const {
-  if (lev.part.interior_box.empty()) return Box{};
-  Box safe = active;
-  for (int d = 0; d < 3; ++d) {
-    int off[3] = {0, 0, 0};
-    off[d] = -1;
-    if (lev.remote[static_cast<std::size_t>(
-            direction_index(off[0], off[1], off[2]))])
-      safe.lo[d] = std::max(safe.lo[d], lev.part_cells.lo[d]);
-    off[d] = 1;
-    if (lev.remote[static_cast<std::size_t>(
-            direction_index(off[0], off[1], off[2]))])
-      safe.hi[d] = std::min(safe.hi[d], lev.part_cells.hi[d]);
-  }
-  return safe.empty() ? Box{} : safe;
-}
-
-void BatchedSolver::finish_exchange_overlapped(
-    comm::Communicator& comm, int l, const Box& active,
-    const std::function<void(const Box&)>& kernel) {
-  const MgLevel& lev = base_level(l);
-  BatchLevel& bl = levels_[static_cast<std::size_t>(l)];
-  const Box safe = overlap_safe_box(lev, active);
-  exec::Event done;
-  if (!safe.empty()) {
-    exec::Engine& eng = engine();
-    eng.submit(compute_stream_, "overlap.interior", [&, safe] {
-      trace::TraceSpan span("batch.overlap.interior");
-      kernel(safe);
-    });
-    done = eng.record(compute_stream_);
-  }
-  bl.exchange->finish(comm);
-  const std::vector<Box> shell = shell_boxes(active, safe);
-  for (const Box& s : shell) kernel(s);
-  {
-    trace::TraceSpan wait_span("exec.wait_overlap", trace::Category::kWait);
-    done.wait();
-  }
-}
-
 void BatchedSolver::smooth_level(comm::Communicator& comm, int l,
                                  int iterations, bool with_residual,
                                  BatchedBrickedArray* restrict_to) {
@@ -263,61 +167,25 @@ void BatchedSolver::gs_sweeps(comm::Communicator& comm, int l, int iterations,
   const Vec3 origin = lev.rank_box.lo;
   for (int it = 0; it < iterations; ++it) {
     if (opts.communication_avoiding) {
-      bool split = false;
-      if (bl.margin < 2 || !bl.b_ghosts_valid) {
-        split = use_overlap(l);
-        if (split)
-          begin_exchange_for_smooth(comm, l);
-        else
-          exchange_for_smooth(comm, l);
-      }
+      if (bl.margin < 2 || !bl.b_ghosts_valid)
+        exchange_for_smooth(comm, l);
       const Box red_box = grow(interior, bl.margin - 1);
       const Box black_box = grow(interior, bl.margin - 2);
-      if (split) {
-        finish_exchange_overlapped(
-            comm, l, red_box, [&](const Box& region) {
-              gs_color_sweep(bl.x, bl.b, lev.alpha, lev.beta, 0, origin,
-                             region);
-            });
-        gs_color_sweep(bl.x, bl.b, lev.alpha, lev.beta, 1, origin, black_box);
-      } else {
-        gs_color_sweep(bl.x, bl.b, lev.alpha, lev.beta, 0, origin, red_box);
-        gs_color_sweep(bl.x, bl.b, lev.alpha, lev.beta, 1, origin, black_box);
-      }
+      gs_color_sweep(bl.x, bl.b, lev.alpha, lev.beta, 0, origin, red_box);
+      gs_color_sweep(bl.x, bl.b, lev.alpha, lev.beta, 1, origin, black_box);
       bl.margin -= 2;
     } else {
       for (int color = 0; color < 2; ++color) {
-        if (use_overlap(l)) {
-          begin_exchange_for_smooth(comm, l);
-          finish_exchange_overlapped(
-              comm, l, interior, [&](const Box& region) {
-                gs_color_sweep(bl.x, bl.b, lev.alpha, lev.beta, color, origin,
-                               region);
-              });
-        } else {
-          exchange_for_smooth(comm, l);
-          gs_color_sweep(bl.x, bl.b, lev.alpha, lev.beta, color, origin,
-                         interior);
-        }
+        exchange_for_smooth(comm, l);
+        gs_color_sweep(bl.x, bl.b, lev.alpha, lev.beta, color, origin,
+                       interior);
       }
       bl.margin = 0;
     }
   }
   if (with_residual) {
-    if (bl.margin < 1) {
-      if (use_overlap(l)) {
-        begin_exchange_for_smooth(comm, l);
-        finish_exchange_overlapped(comm, l, interior,
-                                   [&](const Box& region) {
-                                     apply_operator(lev, bl.Ax, bl.x, region);
-                                   });
-      } else {
-        exchange_for_smooth(comm, l);
-        apply_operator(lev, bl.Ax, bl.x, interior);
-      }
-    } else {
-      apply_operator(lev, bl.Ax, bl.x, interior);
-    }
+    if (bl.margin < 1) exchange_for_smooth(comm, l);
+    apply_operator(lev, bl.Ax, bl.x, interior);
     if (restrict_to != nullptr && lev.plan.fuse_gs_tail) {
       residual_restrict(bl.r, *restrict_to, bl.b, bl.Ax);
     } else {
@@ -338,31 +206,15 @@ void BatchedSolver::jacobi_sweeps(comm::Communicator& comm, int l,
   const index_t radius = lev.radius;
   for (int it = 0; it < iterations; ++it) {
     Box active = interior;
-    bool split = false;
     if (opts.communication_avoiding) {
-      if (bl.margin < radius || !bl.b_ghosts_valid) {
-        split = use_overlap(l);
-        if (split)
-          begin_exchange_for_smooth(comm, l);
-        else
-          exchange_for_smooth(comm, l);
-      }
+      if (bl.margin < radius || !bl.b_ghosts_valid)
+        exchange_for_smooth(comm, l);
       active = grow(interior, bl.margin - radius);
     } else {
-      split = use_overlap(l);
-      if (split)
-        begin_exchange_for_smooth(comm, l);
-      else
-        exchange_for_smooth(comm, l);
+      exchange_for_smooth(comm, l);
       bl.margin = 0;
     }
-    if (split) {
-      finish_exchange_overlapped(comm, l, active, [&](const Box& region) {
-        apply_operator(lev, bl.Ax, bl.x, region);
-      });
-    } else {
-      apply_operator(lev, bl.Ax, bl.x, active);
-    }
+    apply_operator(lev, bl.Ax, bl.x, active);
     const bool fuse_final = with_residual && restrict_to != nullptr &&
                             lev.plan.fuse_descent && it == iterations - 1;
     if (fuse_final) {
@@ -411,31 +263,15 @@ void BatchedSolver::chebyshev_sweeps(comm::Communicator& comm, int l,
   real_t alpha_ch = 0.0;
   for (int it = 0; it < iterations; ++it) {
     Box active = interior;
-    bool split = false;
     if (opts.communication_avoiding) {
-      if (bl.margin < radius || !bl.b_ghosts_valid) {
-        split = use_overlap(l);
-        if (split)
-          begin_exchange_for_smooth(comm, l);
-        else
-          exchange_for_smooth(comm, l);
-      }
+      if (bl.margin < radius || !bl.b_ghosts_valid)
+        exchange_for_smooth(comm, l);
       active = grow(interior, bl.margin - radius);
     } else {
-      split = use_overlap(l);
-      if (split)
-        begin_exchange_for_smooth(comm, l);
-      else
-        exchange_for_smooth(comm, l);
+      exchange_for_smooth(comm, l);
       bl.margin = 0;
     }
-    if (split) {
-      finish_exchange_overlapped(comm, l, active, [&](const Box& region) {
-        apply_operator(lev, bl.Ax, bl.x, region);
-      });
-    } else {
-      apply_operator(lev, bl.Ax, bl.x, active);
-    }
+    apply_operator(lev, bl.Ax, bl.x, active);
     residual(bl.r, bl.b, bl.Ax, active);
     real_t beta_ch;
     if (it == 0) {
@@ -563,15 +399,8 @@ void BatchedSolver::residual_norms(comm::Communicator& comm,
   const MgLevel& lev = base_level(0);
   BatchLevel& bl = levels_.front();
   const Box interior = lev.interior();
-  if (bl.margin < lev.radius && use_overlap(0)) {
-    begin_exchange_for_smooth(comm, 0);
-    finish_exchange_overlapped(comm, 0, interior, [&](const Box& region) {
-      apply_operator(lev, bl.Ax, bl.x, region);
-    });
-  } else {
-    if (bl.margin < lev.radius) exchange_for_smooth(comm, 0);
-    apply_operator(lev, bl.Ax, bl.x, interior);
-  }
+  if (bl.margin < lev.radius) exchange_for_smooth(comm, 0);
+  apply_operator(lev, bl.Ax, bl.x, interior);
   // Stays split (no fused residual+max-norm here): the reduction is
   // per-component with retirement masking, so one residual pass feeds
   // up to K separate strided reduces — and the split pair is value-

@@ -28,7 +28,6 @@
 #include "check/schedule.hpp"
 #include "comm/exchange.hpp"
 #include "comm/simmpi.hpp"
-#include "exec/engine.hpp"
 #include "gmg/solver.hpp"
 
 namespace gmg::batch {
@@ -131,13 +130,6 @@ class BatchedSolver {
   /// the solo exchange_for_smooth aggregates ({x, +b when stale under
   /// CA, +p for CA Chebyshev}), each carrying all K components.
   void exchange_for_smooth(comm::Communicator& comm, int l);
-  bool use_overlap(int l) const;
-  void begin_exchange_for_smooth(comm::Communicator& comm, int l);
-  Box overlap_safe_box(const MgLevel& lev, const Box& active) const;
-  void finish_exchange_overlapped(
-      comm::Communicator& comm, int l, const Box& active,
-      const std::function<void(const Box&)>& kernel);
-  exec::Engine& engine();
 
   /// Per-active-component residual max-norms on the finest level (one
   /// batched exchange+applyOp+residual pass, then a per-component
@@ -170,8 +162,6 @@ class BatchedSolver {
   BrickArena* arena_;
   std::vector<BatchLevel> levels_;
   std::vector<std::vector<real_t>> solutions_;
-  std::uint64_t engine_generation_ = 0;
-  exec::Stream compute_stream_;
 };
 
 }  // namespace gmg::batch

@@ -1,7 +1,6 @@
 // Setup-time schedule verification (DESIGN.md §18, layer 3 of the
 // verification ladder). A Schedule is the full planned sequence of
-// kernel launches, ghost exchanges (blocking and split-phase), masked
-// sweeps, reductions and component retirements one solver
+// kernel launches, ghost exchanges, masked sweeps, reductions and component retirements one solver
 // configuration will execute — recorded by a dry-run walker
 // (gmg/schedule_audit.hpp, batch/batched_audit.hpp,
 // amr/composite_audit.hpp) that replicates the solver's margin
@@ -13,9 +12,6 @@
 //     write) that filled at least `g` layers — the CA margin
 //     invariant, proven over the whole plan instead of observed at
 //     runtime by GMG_CHECK;
-//   * split-phase safety: while an exchange is in flight, no kernel
-//     reads or writes the in-flight fields' remote-side ghost layers,
-//     and no second exchange begins on the same engine;
 //   * effect conformance: each recorded access matches the kernel's
 //     constexpr EffectSummary — an access with no declared effect for
 //     its role is an undeclared read/write box;
@@ -69,12 +65,10 @@ struct StepAccess {
 
 enum class StepKind : std::uint8_t {
   kKernel,
-  kExchange,        // blocking: fields valid to `exchange_depth` after
-  kExchangeBegin,   // split-phase start: self-copies done, remotes in flight
-  kExchangeFinish,  // split-phase completion
-  kReduction,       // one collective contribution (component, group)
-  kRetire,          // batch component retirement
-  kPlanSwitch,      // kernel-plan rebind (set_coefficient, fusion flip)
+  kExchange,    // fields valid to `exchange_depth` after
+  kReduction,   // one collective contribution (component, group)
+  kRetire,      // batch component retirement
+  kPlanSwitch,  // kernel-plan rebind (set_coefficient, fusion flip)
 };
 
 struct ScheduleStep {
@@ -83,7 +77,7 @@ struct ScheduleStep {
   int level = 0;
   std::vector<StepAccess> accesses;
 
-  // kExchange / kExchangeBegin: which fields, filled to what depth.
+  // kExchange: which fields, filled to what depth.
   std::vector<std::string> exchange_fields;
   index_t exchange_depth = 0;
 
@@ -110,27 +104,17 @@ struct ScheduleStep {
   int reduction_group = -1;
   bool retirement_masked = false;
 
-  // Overlap split-phase interior pass: runs while the exchange is in
-  // flight over a remote-clipped safe box. Verified against in-flight
-  // rules but does NOT update ghost validity — the post-finish
-  // full-active step carries the combined effect.
-  bool partial = false;
-
   // The kernel's static effect summary (empty => no conformance check,
   // used only for exchange/reduction pseudo-steps).
   EffectSummary summary;
 };
 
 /// Static per-level geometry the verifier needs: the interior box in
-/// local coordinates, the ghost capacity in layers, and which of the
-/// six faces borders a remote rank (in-flight ghost rules apply there;
-/// self-periodic faces complete synchronously at begin()).
+/// local coordinates and the ghost capacity in layers.
 struct LevelInfo {
   int level = 0;
   Box interior;
   index_t ghost_depth = 0;
-  bool remote_lo[3] = {false, false, false};
-  bool remote_hi[3] = {false, false, false};
 };
 
 /// Initial ghost validity of one field (e.g. init_zero'd fields start
@@ -205,24 +189,6 @@ class ScheduleRecorder {
     s.exchange_depth = depth;
     push(std::move(s));
   }
-  void exchange_begin(int level, std::vector<std::string> fields,
-                      index_t depth) {
-    ScheduleStep s;
-    s.kind = StepKind::kExchangeBegin;
-    s.kernel = "exchange.begin";
-    s.level = level;
-    s.exchange_fields = std::move(fields);
-    s.exchange_depth = depth;
-    push(std::move(s));
-  }
-  void exchange_finish(int level) {
-    ScheduleStep s;
-    s.kind = StepKind::kExchangeFinish;
-    s.kernel = "exchange.finish";
-    s.level = level;
-    push(std::move(s));
-  }
-
   int next_reduction_group() { return reduction_groups_++; }
   void reduction(const char* op, int level, int component, int group,
                  bool retirement_masked = false) {

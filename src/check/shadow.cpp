@@ -37,9 +37,6 @@ struct OpenScope {
 };
 
 struct FieldState {
-  const BrickGrid* grid = nullptr;       // set by on_exchange_begin
-  std::vector<BrickRange> inflight;      // receive ghost ranges
-  bool in_flight = false;
   std::uint64_t epoch = 0;
 };
 
@@ -88,30 +85,6 @@ std::string box_str(const Box& b) {
   return os.str();
 }
 
-/// Brick-coordinate cover of a cell box.
-Box brick_cover(const Box& cells, Vec3 bd) {
-  if (cells.empty()) return Box{};
-  return Box{{floor_div(cells.lo.x, bd.x), floor_div(cells.lo.y, bd.y),
-              floor_div(cells.lo.z, bd.z)},
-             {floor_div(cells.hi.x - 1, bd.x) + 1,
-              floor_div(cells.hi.y - 1, bd.y) + 1,
-              floor_div(cells.hi.z - 1, bd.z) + 1}};
-}
-
-/// First in-flight ghost brick whose coordinate falls inside `cover`,
-/// or -1. The in-flight set is the ghost shell (at most a few hundred
-/// bricks), so a linear scan per launch is fine for a debug tool.
-std::int32_t inflight_hit(const FieldState& f, const Box& cover) {
-  if (f.grid == nullptr) return -1;
-  for (const BrickRange& range : f.inflight) {
-    for (std::int32_t b = 0; b < range.count; ++b) {
-      const std::int32_t id = range.first + b;
-      if (cover.contains(f.grid->coord_of(id))) return id;
-    }
-  }
-  return -1;
-}
-
 // Callers hold tracker().mu.
 void record_locked(Tracker& t, HazardKind kind, std::uint64_t epoch,
                    const std::string& detail) {
@@ -137,22 +110,15 @@ void set_enabled(bool on) {
 
 const char* hazard_kind_name(HazardKind kind) {
   switch (kind) {
-    case HazardKind::kReadInflightGhost:
-      return "read-inflight-ghost";
-    case HazardKind::kWriteInflightGhost:
-      return "write-inflight-ghost";
     case HazardKind::kWriteWriteOverlap:
       return "write-write-overlap";
-    case HazardKind::kOverlappingExchange:
-      return "overlapping-exchange";
     case HazardKind::kCorruptPlan:
       return "corrupt-plan";
   }
   return "unknown";
 }
 
-KernelScope::KernelScope(const char* name, std::vector<Access> writes,
-                         std::vector<Access> reads) {
+KernelScope::KernelScope(const char* name, std::vector<Access> writes) {
   if (!enabled()) return;
   Tracker& t = tracker();
   std::lock_guard<std::mutex> lock(t.mu);
@@ -161,17 +127,7 @@ KernelScope::KernelScope(const char* name, std::vector<Access> writes,
 
   for (const Access& w : writes) {
     if (w.key == nullptr || w.box.empty()) continue;
-    const Box cover = brick_cover(w.box, w.brick_dims);
     auto it = t.fields.find(w.key);
-    if (it != t.fields.end() && it->second.in_flight) {
-      const std::int32_t hit = inflight_hit(it->second, cover);
-      if (hit >= 0) {
-        record_locked(t, HazardKind::kWriteInflightGhost, it->second.epoch,
-                      std::string(name) + ": write box " + box_str(w.box) +
-                          " covers ghost brick " + std::to_string(hit) +
-                          " of a field whose exchange has not finished");
-      }
-    }
     // Concurrent write-write at cell-box granularity. Same-thread
     // scopes are RAII-nested (an enclosing kernel delegating to an
     // inner engine over the same field) and sequence their stores, so
@@ -190,20 +146,6 @@ KernelScope::KernelScope(const char* name, std::vector<Access> writes,
                             box_str(common));
         }
       }
-    }
-  }
-
-  for (const Access& r : reads) {
-    if (r.key == nullptr || r.box.empty()) continue;
-    auto it = t.fields.find(r.key);
-    if (it == t.fields.end() || !it->second.in_flight) continue;
-    const std::int32_t hit = inflight_hit(it->second, brick_cover(r.box, r.brick_dims));
-    if (hit >= 0) {
-      record_locked(t, HazardKind::kReadInflightGhost, it->second.epoch,
-                    std::string(name) + ": read box " + box_str(r.box) +
-                        " (tap-grown) covers ghost brick " +
-                        std::to_string(hit) +
-                        " of a field whose exchange has not finished");
     }
   }
 
@@ -227,33 +169,6 @@ KernelScope::~KernelScope() {
     t.open.erase(t.open.begin() + static_cast<std::ptrdiff_t>(n));
     break;
   }
-}
-
-void on_exchange_begin(const void* key, const BrickGrid* grid,
-                       const std::vector<BrickRange>& ghost_ranges) {
-  if (!enabled()) return;
-  Tracker& t = tracker();
-  std::lock_guard<std::mutex> lock(t.mu);
-  FieldState& f = t.fields[key];
-  if (f.in_flight) {
-    record_locked(t, HazardKind::kOverlappingExchange, f.epoch,
-                  "exchange begin while a previous exchange of the same "
-                  "field is still in flight");
-  }
-  f.grid = grid;
-  f.inflight = ghost_ranges;
-  f.in_flight = true;
-}
-
-void on_exchange_finish(const void* key) {
-  if (!enabled()) return;
-  Tracker& t = tracker();
-  std::lock_guard<std::mutex> lock(t.mu);
-  auto it = t.fields.find(key);
-  if (it == t.fields.end()) return;
-  it->second.in_flight = false;
-  it->second.inflight.clear();
-  ++it->second.epoch;
 }
 
 void validate_plan(const char* name, const BrickPlanItem* items,

@@ -2,22 +2,21 @@
 //
 // The kernel runtime's chunk plans are deterministic (DESIGN.md §11):
 // the same bricks land in the same chunks on every run, so TSan almost
-// never sees the conflicting schedules that a wrong plan or a
-// mis-split overlap phase *could* produce. This tracker checks the
-// region-disjointness invariants directly instead of waiting for an
-// unlucky interleaving:
+// never sees the conflicting schedules that a wrong plan *could*
+// produce. This tracker checks the region-disjointness invariants
+// directly instead of waiting for an unlucky interleaving:
 //
 //   - every kernel launch opens a KernelScope declaring, per field,
-//     the cell box it writes and the (tap-grown) boxes it reads;
-//   - BrickExchange begin()/finish() mark the receive ghost-brick
-//     ranges of each in-flight field (sends are buffered at post time,
-//     so only receives matter);
-//   - hazards are recorded when a scope reads or writes an in-flight
-//     ghost brick (split-phase ordering bug), when two concurrently
-//     open scopes write intersecting cell boxes of one field, when a
-//     second exchange begins while one is in flight for the same
-//     field, or when a cached iteration plan is structurally corrupt
-//     (a kernel would write bricks outside its declared footprint).
+//     the cell box it writes (its reads are declared statically, in
+//     the kernel's EffectSummary — check/effects.hpp);
+//   - hazards are recorded when two concurrently open scopes write
+//     intersecting cell boxes of one field, or when a cached iteration
+//     plan is structurally corrupt (a kernel would write bricks
+//     outside its declared footprint).
+//
+// Ghost exchanges are blocking (DESIGN.md §10), so no kernel can run
+// while a field's ghosts are in flight; ghost-validity ordering is
+// proven statically by the schedule verifier (check/schedule.hpp).
 //
 // Enabled via GMG_CHECK=1 (or the GMG_CHECK CMake option, which flips
 // the default); disabled, every hook is a single early-out call per
@@ -46,43 +45,36 @@ bool enabled();
 void set_enabled(bool on);
 
 enum class HazardKind {
-  kReadInflightGhost,   // read of a ghost brick whose exchange has not finished
-  kWriteInflightGhost,  // write into an in-flight receive ghost brick
-  kWriteWriteOverlap,   // two open scopes write intersecting boxes of a field
-  kOverlappingExchange, // begin() while the field is already in flight
-  kCorruptPlan,         // iteration plan covers bricks outside its declaration
+  kWriteWriteOverlap,  // two open scopes write intersecting boxes of a field
+  kCorruptPlan,        // iteration plan covers bricks outside its declaration
 };
 
 const char* hazard_kind_name(HazardKind kind);
 
 struct HazardRecord {
   HazardKind kind;
-  std::string detail;    // kernel/exchange name + field + box/brick info
+  std::string detail;    // kernel name + field + box/brick info
   std::uint64_t epoch;   // per-field write epoch when the hazard fired
 };
 
-/// One declared field access of a kernel launch. `box` is in cell
-/// coordinates of the field's grid; reads pass their box already grown
-/// by the stencil reach.
+/// One declared field write of a kernel launch. `box` is in cell
+/// coordinates of the field's grid.
 struct Access {
-  const void* key = nullptr;         // field identity: storage base pointer
-  const BrickGrid* grid = nullptr;
-  Vec3 brick_dims{0, 0, 0};
+  const void* key = nullptr;  // field identity: storage base pointer
   Box box;
 };
 
 inline Access access(const BrickedArray& f, const Box& box) {
-  return Access{f.data(), &f.grid(), f.shape().dims(), box};
+  return Access{f.data(), box};
 }
 
-/// RAII declaration of one kernel launch's reads and writes. All
-/// hazard checks run in the constructor; the destructor closes the
-/// scope and bumps the write epoch of every written field. No-op when
-/// the detector is disabled.
+/// RAII declaration of one kernel launch's writes. All hazard checks
+/// run in the constructor; the destructor closes the scope and bumps
+/// the write epoch of every written field. No-op when the detector is
+/// disabled.
 class KernelScope {
  public:
-  KernelScope(const char* name, std::vector<Access> writes,
-              std::vector<Access> reads);
+  KernelScope(const char* name, std::vector<Access> writes);
   ~KernelScope();
   KernelScope(KernelScope&& other) noexcept : token_(other.token_) {
     other.token_ = 0;
@@ -97,19 +89,12 @@ class KernelScope {
 
 /// Convenience wrapper for kernel call sites: a live scope only when
 /// the detector is on. Costs one atomic load per launch when off.
-inline std::optional<KernelScope> scope_if_enabled(const char* name,
-                                                   std::vector<Access> writes,
-                                                   std::vector<Access> reads) {
+inline std::optional<KernelScope> scope_if_enabled(
+    const char* name, std::vector<Access> writes) {
   std::optional<KernelScope> s;
-  if (enabled()) s.emplace(name, std::move(writes), std::move(reads));
+  if (enabled()) s.emplace(name, std::move(writes));
   return s;
 }
-
-/// Exchange hooks (called by comm::BrickExchange). `ghost_ranges` are
-/// the storage ranges the in-flight receives will scatter into.
-void on_exchange_begin(const void* key, const BrickGrid* grid,
-                       const std::vector<BrickRange>& ghost_ranges);
-void on_exchange_finish(const void* key);
 
 /// Structural validation of a cached iteration plan, run once per
 /// launch by for_each_plan_brick when the detector is on: unique
@@ -120,7 +105,7 @@ void validate_plan(const char* name, const BrickPlanItem* items,
                    std::size_t count, std::int64_t num_full, Vec3 brick_dims);
 
 // Hazard sink. Thread-safe; reset() also drops all shadow state
-// (in-flight marks, open scopes, epochs).
+// (open scopes, epochs).
 std::size_t hazard_count();
 std::vector<HazardRecord> hazards();
 void clear_hazards();

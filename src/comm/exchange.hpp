@@ -39,30 +39,14 @@ class BrickExchange {
                 BrickExchangeMode mode = BrickExchangeMode::kPackFree);
 
   /// Fill all 26 ghost-brick groups of `field` from the neighbors.
-  /// Equivalent to begin() + finish().
+  /// Blocking: posts the receives, performs the periodic self-copies,
+  /// packs (mode-dependent), sends, then drains the requests in
+  /// completion order and unpacks (kPacked).
   void exchange(Communicator& comm, BrickedArray& field);
 
   /// Exchange several fields in one round with message aggregation
   /// across fields (one message per neighbor carrying all fields).
-  void exchange(Communicator& comm, std::vector<BrickedArray*> fields);
-
-  // Split-phase protocol (DESIGN.md §10). begin() posts the ghost
-  // receives, performs the periodic self-copies synchronously, packs
-  // (mode-dependent) and sends; the caller then computes on data that
-  // does not touch the in-flight ghost ranges — for kPackFree the
-  // receives scatter straight into ghost brick storage, so those
-  // bricks are off-limits until finish() returns. finish() drains the
-  // requests (wait_any order, so completion need not match post order)
-  // and unpacks in kPacked mode. One exchange may be in flight per
-  // engine at a time; begin() while in flight is an error.
-  void begin(Communicator& comm, BrickedArray& field);
-  void begin(Communicator& comm, std::vector<BrickedArray*> fields);
-  /// Nonblocking: true once every message of the in-flight exchange
-  /// has completed (true when none is in flight). Does not unpack —
-  /// finish() must still be called.
-  bool test(Communicator& comm);
-  void finish(Communicator& comm);
-  bool in_flight() const { return in_flight_; }
+  void exchange(Communicator& comm, const std::vector<BrickedArray*>& fields);
 
   /// Total payload bytes moved per exchange() of one field (both into
   /// messages and self-copies) — feeds the network model.
@@ -100,12 +84,6 @@ class BrickExchange {
   // Staging buffers for kPacked mode, one pair per direction plan.
   std::vector<AlignedBuffer<real_t>> send_staging_;
   std::vector<AlignedBuffer<real_t>> recv_staging_;
-
-  // Split-phase state: requests and the field set of the exchange
-  // begun but not yet finished.
-  std::vector<Request> requests_;
-  std::vector<BrickedArray*> inflight_fields_;
-  bool in_flight_ = false;
 };
 
 /// Masked ghost exchange for an AMR patch part (DESIGN.md §17).
@@ -120,10 +98,9 @@ class BrickExchange {
 /// radius-1 patch smoother and are skipped entirely — the "masked"
 /// part of the exchange. Sends move whole surface bricks pack-free,
 /// receives land in the contiguous ghost ranges, exactly like
-/// BrickExchange::kPackFree; the round is blocking (patch surfaces are
-/// small, split-phase overlap buys nothing here). Messages use a
-/// disjoint tag base so an in-flight BrickExchange on the parent level
-/// can never collide.
+/// BrickExchange::kPackFree; the round is blocking, like every ghost
+/// exchange here. Messages use a disjoint tag base so a patch round
+/// can never match a parent-level BrickExchange message.
 class PatchExchange {
  public:
   /// `grid`/`shape`: the patch part's brick grid on this rank (null

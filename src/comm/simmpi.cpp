@@ -285,8 +285,10 @@ double reduce_impl(WorldState* w, int, double v, Combine combine) {
 }  // namespace
 
 double Communicator::allreduce_max(double v) {
-  return reduce_impl(world_, rank_, v,
-                     [](double a, double b) { return a > b ? a : b; });
+  // NaN-propagating: one rank's non-finite residual must reach all.
+  return reduce_impl(world_, rank_, v, [](double a, double b) {
+    return (a > b || a != a) ? a : b;
+  });
 }
 
 double Communicator::allreduce_sum(double v) {

@@ -82,8 +82,8 @@ class Communicator {
 
   /// Nonblocking completion check (MPI_Test analogue, minus the
   /// request deallocation): true once the operation has completed, and
-  /// on every later call — the request stays valid, so split-phase
-  /// engines can poll the same handle repeatedly. An invalid (default
+  /// on every later call — the request stays valid, so a caller can
+  /// poll the same handle repeatedly. An invalid (default
   /// or consumed) request tests true, like MPI_REQUEST_NULL. Untraced:
   /// this sits in polling loops.
   bool test(Request& request);

@@ -90,26 +90,11 @@ void apply_bricks_impl(BD, const Expr& expr, BrickedArray& out,
   constexpr int kSlots = sizeof...(Fields);
   const std::array<const real_t*, kSlots> bases{inputs.data()...};
 
-  // Access-hazard scope: out is written over `active`; each input is
-  // read over `active` grown by its own slot's tap reach.
+  // Access-hazard scope: out is written over `active`.
   std::optional<check::KernelScope> scope;
   if (check::enabled()) {
-    const OffsetSet offs = expr.offsets();
-    std::vector<check::Access> reads;
-    reads.reserve(kSlots);
-    int slot = 0;
-    const auto add_read = [&](const BrickedArray& f) {
-      const Extents se = offs.slot_extents(slot++);
-      const Box reach{{active.lo.x + se.lo[0], active.lo.y + se.lo[1],
-                       active.lo.z + se.lo[2]},
-                      {active.hi.x + se.hi[0], active.hi.y + se.hi[1],
-                       active.hi.z + se.hi[2]}};
-      reads.push_back(check::access(f, reach));
-    };
-    (add_read(inputs), ...);
     scope.emplace("dsl.apply",
-                  std::vector<check::Access>{check::access(out, active)},
-                  std::move(reads));
+                  std::vector<check::Access>{check::access(out, active)});
   }
 
   // Taps of the outermost active cells must still hit existing bricks

@@ -95,13 +95,13 @@ void run_plan(const BrickGrid& grid, const Box& active, int radius,
   for_each_plan_brick<BD>(name, *plan, body);
 }
 
-/// As above, but with the kernel's fields declared for the src/check
-/// access-hazard detector: `out` is written over `active`, `in` read
-/// over `active` grown by the stencil radius. stencilgen emits calls
-/// to this overload; the footprint-vs-ghost-depth check runs here too.
+/// As above, but with the kernel's output declared for the src/check
+/// access-hazard detector: `out` is written over `active`. stencilgen
+/// emits calls to this overload; the footprint-vs-ghost-depth check
+/// runs here too.
 template <typename BD, typename Fn>
-void run_plan(BrickedArray& out, const BrickedArray& in, const Box& active,
-              int radius, const char* name, Fn&& body) {
+void run_plan(BrickedArray& out, const Box& active, int radius,
+              const char* name, Fn&& body) {
   {
     Extents ext;
     for (int d = 0; d < 3; ++d) {
@@ -114,8 +114,7 @@ void run_plan(BrickedArray& out, const BrickedArray& in, const Box& active,
   std::optional<check::KernelScope> scope;
   if (check::enabled()) {
     scope.emplace(
-        name, std::vector<check::Access>{check::access(out, active)},
-        std::vector<check::Access>{check::access(in, grow(active, radius))});
+        name, std::vector<check::Access>{check::access(out, active)});
   }
   run_plan<BD>(out.grid(), active, radius, name, body);
 }

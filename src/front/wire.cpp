@@ -301,6 +301,10 @@ bool decode_submit(const std::vector<std::uint8_t>& payload, SubmitFrame* out,
   if (out->rhs_samples.size() !=
       static_cast<std::size_t>(out->global_extent.volume()))
     return fail(error, "rhs sample count does not match global extent");
+  for (const real_t v : out->rhs_samples) {
+    // A non-finite sample would poison every cell of the solve.
+    if (!std::isfinite(v)) return fail(error, "non-finite rhs sample");
+  }
   if (!(out->tolerance >= 0) || !std::isfinite(out->tolerance))
     return fail(error, "bad tolerance");
   if (out->max_vcycles <= 0) return fail(error, "non-positive max_vcycles");

@@ -7,12 +7,10 @@
 // full-weighted coarse contribution, with the brick's freshly-written
 // residual still in cache when the restriction reads it.
 //
-// Fusion boundary: applyOp stays its own pass. The CA margin schedule
-// and the split-phase overlap machinery split only the operator
-// application by region (DESIGN.md §10/§11); the stages fused here are
-// pointwise (smooth/residual) or read only the brick's own residual
-// (restriction), so composing them changes no exchange, margin, or
-// overlap decision.
+// Fusion boundary: applyOp stays its own pass. The stages fused here
+// are pointwise (smooth/residual) or read only the brick's own
+// residual (restriction), so composing them changes no exchange or CA
+// margin decision.
 //
 // Bitwise contract: every fused kernel replicates the split kernels'
 // per-element arithmetic and summation order VERBATIM (same tap order,

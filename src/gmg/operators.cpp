@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <optional>
 
 #include "brick/brick_mask.hpp"
@@ -183,8 +184,7 @@ void apply_op(BrickedArray& Ax, const BrickedArray& x, real_t alpha,
   trace::TraceSpan span("kernel.applyOp");
   count_flops(box_points(active), 8);
   const auto scope = check::scope_if_enabled(
-      "kernel.applyOp", {check::access(Ax, active)},
-      {check::access(x, grow(active, 1))});
+      "kernel.applyOp", {check::access(Ax, active)});
   with_brick_dims(x.shape(), [&](auto bd) {
     apply_op_7pt(bd, Ax, x, alpha, beta, active);
   });
@@ -200,8 +200,7 @@ void apply_op(BrickedArray& Ax, const BrickedArray& x, real_t alpha,
   trace::TraceSpan span("kernel.applyOpMasked");
   count_flops(box_points(active), 8);
   const auto scope = check::scope_if_enabled(
-      "kernel.applyOpMasked", {check::access(Ax, active)},
-      {check::access(x, grow(active, 1))});
+      "kernel.applyOpMasked", {check::access(Ax, active)});
   with_brick_dims(x.shape(), [&](auto bd) {
     apply_op_7pt(bd, Ax, x, alpha, beta, active, &mask);
   });
@@ -212,8 +211,7 @@ void smooth(BrickedArray& x, const BrickedArray& Ax, const BrickedArray& b,
   trace::TraceSpan span("kernel.smooth");
   count_flops(box_points(active), 3);
   const auto scope = check::scope_if_enabled(
-      "kernel.smooth", {check::access(x, active)},
-      {check::access(Ax, active), check::access(b, active)});
+      "kernel.smooth", {check::access(x, active)});
   with_brick_dims(x.shape(), [&](auto bd) {
     real_t* __restrict xp = x.data();
     const real_t* __restrict axp = Ax.data();
@@ -234,8 +232,7 @@ void smooth_residual(BrickedArray& x, BrickedArray& r, const BrickedArray& Ax,
   count_flops(box_points(active), 4);
   const auto scope = check::scope_if_enabled(
       "kernel.smoothResidual",
-      {check::access(x, active), check::access(r, active)},
-      {check::access(Ax, active), check::access(b, active)});
+      {check::access(x, active), check::access(r, active)});
   with_brick_dims(x.shape(), [&](auto bd) {
     real_t* __restrict xp = x.data();
     real_t* __restrict rp = r.data();
@@ -259,8 +256,7 @@ void residual(BrickedArray& r, const BrickedArray& b, const BrickedArray& Ax,
   trace::TraceSpan span("kernel.residual");
   count_flops(box_points(active), 1);
   const auto scope = check::scope_if_enabled(
-      "kernel.residual", {check::access(r, active)},
-      {check::access(b, active), check::access(Ax, active)});
+      "kernel.residual", {check::access(r, active)});
   with_brick_dims(r.shape(), [&](auto bd) {
     real_t* __restrict rp = r.data();
     const real_t* __restrict axp = Ax.data();
@@ -280,8 +276,7 @@ void residual(BrickedArray& r, const BrickedArray& b, const BrickedArray& Ax,
   trace::TraceSpan span("kernel.residualMasked");
   count_flops(box_points(active), 1);
   const auto scope = check::scope_if_enabled(
-      "kernel.residualMasked", {check::access(r, active)},
-      {check::access(b, active), check::access(Ax, active)});
+      "kernel.residualMasked", {check::access(r, active)});
   with_brick_dims(r.shape(), [&](auto bd) {
     using BD = decltype(bd);
     real_t* __restrict rp = r.data();
@@ -309,8 +304,7 @@ void restriction(BrickedArray& coarse, const BrickedArray& fine) {
   GMG_REQUIRE(fine.shape() == coarse.shape(),
               "restriction assumes equal brick shapes on both levels");
   const auto scope = check::scope_if_enabled(
-      "kernel.restriction", {check::access(coarse, Box::from_extent(ce))},
-      {check::access(fine, Box::from_extent(fe))});
+      "kernel.restriction", {check::access(coarse, Box::from_extent(ce))});
   with_brick_dims(fine.shape(), [&](auto bd) {
     using BD = decltype(bd);
     static_assert(BD::bx % 2 == 0 && BD::by % 2 == 0 && BD::bz % 2 == 0);
@@ -367,8 +361,7 @@ void interpolation_increment(BrickedArray& fine, const BrickedArray& coarse) {
   GMG_REQUIRE(fine.shape() == coarse.shape(),
               "interpolation assumes equal brick shapes on both levels");
   const auto scope = check::scope_if_enabled(
-      "kernel.interpIncrement", {check::access(fine, Box::from_extent(fe))},
-      {check::access(coarse, Box::from_extent(ce))});
+      "kernel.interpIncrement", {check::access(fine, Box::from_extent(fe))});
   with_brick_dims(fine.shape(), [&](auto bd) {
     using BD = decltype(bd);
     const BrickGrid& fg = fine.grid();
@@ -413,8 +406,7 @@ void gs_color_sweep(BrickedArray& x, const BrickedArray& b, real_t alpha,
   trace::TraceSpan span("kernel.gsColorSweep");
   count_flops(box_points(active) / 2, 9);
   const auto scope = check::scope_if_enabled(
-      "kernel.gsColorSweep", {check::access(x, active)},
-      {check::access(x, grow(active, 1)), check::access(b, active)});
+      "kernel.gsColorSweep", {check::access(x, active)});
   with_brick_dims(x.shape(), [&](auto bd) {
     using BD = decltype(bd);
     const BrickGrid& grid = x.grid();
@@ -506,8 +498,7 @@ void init_zero(BrickedArray& a) {
     const Box cells{{bricks.lo.x * d.x, bricks.lo.y * d.y, bricks.lo.z * d.z},
                     {bricks.hi.x * d.x, bricks.hi.y * d.y, bricks.hi.z * d.z}};
     scope.emplace("kernel.initZero",
-                  std::vector<check::Access>{check::access(a, cells)},
-                  std::vector<check::Access>{});
+                  std::vector<check::Access>{check::access(a, cells)});
   }
   real_t* __restrict p = a.data();
   exec::parallel_for("kernel.initZero", static_cast<std::int64_t>(a.size()),
@@ -610,8 +601,7 @@ void copy_interior(BrickedArray& dst, const BrickedArray& src) {
 void axpy(BrickedArray& y, real_t alpha, const BrickedArray& x,
           const Box& active) {
   const auto scope = check::scope_if_enabled("kernel.axpyActive",
-                                             {check::access(y, active)},
-                                             {check::access(x, active)});
+                                             {check::access(y, active)});
   with_brick_dims(y.shape(), [&](auto bd) {
     real_t* __restrict py = y.data();
     const real_t* __restrict px = x.data();
@@ -628,8 +618,7 @@ void axpy(BrickedArray& y, real_t alpha, const BrickedArray& x,
 void cheby_p_update(BrickedArray& p, const BrickedArray& r, real_t inv_diag,
                     real_t beta, const Box& active) {
   const auto scope = check::scope_if_enabled("kernel.chebyP",
-                                             {check::access(p, active)},
-                                             {check::access(r, active)});
+                                             {check::access(p, active)});
   with_brick_dims(p.shape(), [&](auto bd) {
     real_t* __restrict pp = p.data();
     const real_t* __restrict pr = r.data();
@@ -650,8 +639,7 @@ void interpolation_assign(BrickedArray& fine, const BrickedArray& coarse) {
   GMG_REQUIRE(fine.shape() == coarse.shape(),
               "interpolation assumes equal brick shapes on both levels");
   const auto scope = check::scope_if_enabled(
-      "kernel.interpAssign", {check::access(fine, Box::from_extent(fe))},
-      {check::access(coarse, Box::from_extent(ce))});
+      "kernel.interpAssign", {check::access(fine, Box::from_extent(fe))});
   with_brick_dims(fine.shape(), [&](auto bd) {
     using BD = decltype(bd);
     const BrickGrid& fg = fine.grid();
@@ -698,8 +686,7 @@ void interpolation_trilinear_assign(BrickedArray& fine,
   // fine cell writes only its own plane).
   const Box interior = Box::from_extent(fe);
   const auto scope = check::scope_if_enabled(
-      "kernel.interpTrilinear", {check::access(fine, interior)},
-      {check::access(coarse, grow(Box::from_extent(ce), 1))});
+      "kernel.interpTrilinear", {check::access(fine, interior)});
   exec::parallel_for(
       "kernel.interpTrilinear", fe.z, 1, [&](std::int64_t klo, std::int64_t khi) {
         for (index_t k = static_cast<index_t>(klo);
@@ -744,12 +731,18 @@ real_t max_norm(const BrickedArray& a) {
     m = exec::parallel_reduce_max<real_t>(
         "kernel.maxNorm", n, exec::kElementGrain,
         [&](std::int64_t lo, std::int64_t hi) {
+          // The max lanes drop NaN (every comparison with it is
+          // false), so a separate flag carries it: a non-finite field
+          // must never read as a small residual.
           real_t local = 0.0;
-#pragma omp simd reduction(max : local)
+          int nan = 0;
+#pragma omp simd reduction(max : local) reduction(| : nan)
           for (std::int64_t i = lo; i < hi; ++i) {
-            local = std::max(local, std::abs(p[i]));
+            const real_t v = std::abs(p[i]);
+            local = std::max(local, v);
+            nan |= v != v;
           }
-          return local;
+          return nan ? std::numeric_limits<real_t>::quiet_NaN() : local;
         });
   });
   return m;

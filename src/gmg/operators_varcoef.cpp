@@ -72,9 +72,7 @@ void smooth_residual_varcoef(BrickedArray& x, BrickedArray& r,
   count_flops_vc(active, 6);
   const auto scope = check::scope_if_enabled(
       "kernel.smoothResidualVarCoef",
-      {check::access(x, active), check::access(r, active)},
-      {check::access(Ax, active), check::access(b, active),
-       check::access(diag, active)});
+      {check::access(x, active), check::access(r, active)});
   with_brick_dims(x.shape(), [&](auto bd) {
     real_t* __restrict xp = x.data();
     real_t* __restrict rp = r.data();
@@ -100,9 +98,7 @@ void smooth_varcoef(BrickedArray& x, const BrickedArray& Ax,
   trace::TraceSpan span("kernel.smoothVarCoef");
   count_flops_vc(active, 5);
   const auto scope = check::scope_if_enabled(
-      "kernel.smoothVarCoef", {check::access(x, active)},
-      {check::access(Ax, active), check::access(b, active),
-       check::access(diag, active)});
+      "kernel.smoothVarCoef", {check::access(x, active)});
   with_brick_dims(x.shape(), [&](auto bd) {
     real_t* __restrict xp = x.data();
     const real_t* __restrict axp = Ax.data();
@@ -123,8 +119,7 @@ void cheby_p_update_varcoef(BrickedArray& p, const BrickedArray& r,
                             const BrickedArray& diag, real_t beta_ch,
                             const Box& active) {
   const auto scope = check::scope_if_enabled(
-      "kernel.chebyPVarCoef", {check::access(p, active)},
-      {check::access(r, active), check::access(diag, active)});
+      "kernel.chebyPVarCoef", {check::access(p, active)});
   with_brick_dims(p.shape(), [&](auto bd) {
     real_t* __restrict pp = p.data();
     const real_t* __restrict rp = r.data();

@@ -41,15 +41,6 @@ void ScheduleWalker::add_levels() {
     info.level = l;
     info.interior = L.interior();
     info.ghost_depth = L.shape.bx;
-    for (int d = 0; d < 3; ++d) {
-      int off[3] = {0, 0, 0};
-      off[d] = -1;
-      info.remote_lo[d] = L.remote[static_cast<std::size_t>(
-          direction_index(off[0], off[1], off[2]))];
-      off[d] = 1;
-      info.remote_hi[d] = L.remote[static_cast<std::size_t>(
-          direction_index(off[0], off[1], off[2]))];
-    }
     rec_.add_level(info);
   }
 }
@@ -111,37 +102,18 @@ void ScheduleWalker::exchange_for_smooth(int l) {
   st_[static_cast<std::size_t>(l)].margin = depth;
 }
 
-void ScheduleWalker::begin_exchange_for_smooth(int l) {
-  const index_t depth = exchange_depth(l);
-  rec_.exchange_begin(l, smooth_exchange_fields(l), depth);
-  st_[static_cast<std::size_t>(l)].margin = depth;
-}
-
-void ScheduleWalker::record_apply(int l, const Box& active, const char* in,
-                                  const char* out, bool partial) {
+void ScheduleWalker::apply_op(int l, const Box& active, const char* in,
+                              const char* out) {
   const MgLevel& L = lev(l);
   check::ScheduleStep& step = rec_.kernel(
       L.varcoef ? "kernel.applyOpVarCoef" : "kernel.applyOp", l,
       L.varcoef ? apply_op_varcoef_effects()
                 : apply_op_effects(static_cast<int>(L.radius)));
-  step.partial = partial;
   step.accesses.push_back(write_access(out, l, active, "Ax"));
   step.accesses.push_back(
       read_access(in, l, active, static_cast<int>(L.radius), "x"));
   if (L.varcoef)
     step.accesses.push_back(read_access("coef", l, active, 1, "coef"));
-}
-
-void ScheduleWalker::apply_op(int l, const Box& active, const char* in,
-                              const char* out, bool split) {
-  if (split) {
-    const Box safe = s_.overlap_safe_box(lev(l), active);
-    if (!safe.empty()) record_apply(l, safe, in, out, /*partial=*/true);
-    rec_.exchange_finish(l);
-    record_apply(l, active, in, out, /*partial=*/false);
-  } else {
-    record_apply(l, active, in, out, /*partial=*/false);
-  }
 }
 
 void ScheduleWalker::add_chunk_writes(check::ScheduleStep& step, int l,
@@ -195,25 +167,14 @@ void ScheduleWalker::jacobi_sweeps(int l, int iterations, bool with_residual,
   const index_t radius = L.radius;
   for (int it = 0; it < iterations; ++it) {
     Box active = interior;
-    bool split = false;
     if (ca()) {
-      if (ls.margin < radius || !ls.b_ghosts_valid) {
-        split = s_.use_overlap(L);
-        if (split)
-          begin_exchange_for_smooth(l);
-        else
-          exchange_for_smooth(l);
-      }
+      if (ls.margin < radius || !ls.b_ghosts_valid) exchange_for_smooth(l);
       active = grow(interior, ls.margin - radius);
     } else {
-      split = s_.use_overlap(L);
-      if (split)
-        begin_exchange_for_smooth(l);
-      else
-        exchange_for_smooth(l);
+      exchange_for_smooth(l);
       ls.margin = 0;
     }
-    apply_op(l, active, "x", "Ax", split);
+    apply_op(l, active, "x", "Ax");
 
     const bool fuse_final = with_residual && restrict_to_coarse &&
                             L.plan.fuse_descent && it == iterations - 1;
@@ -267,25 +228,14 @@ void ScheduleWalker::chebyshev_sweeps(int l, int iterations) {
   const index_t radius = L.radius;
   for (int it = 0; it < iterations; ++it) {
     Box active = interior;
-    bool split = false;
     if (ca()) {
-      if (ls.margin < radius || !ls.b_ghosts_valid) {
-        split = s_.use_overlap(L);
-        if (split)
-          begin_exchange_for_smooth(l);
-        else
-          exchange_for_smooth(l);
-      }
+      if (ls.margin < radius || !ls.b_ghosts_valid) exchange_for_smooth(l);
       active = grow(interior, ls.margin - radius);
     } else {
-      split = s_.use_overlap(L);
-      if (split)
-        begin_exchange_for_smooth(l);
-      else
-        exchange_for_smooth(l);
+      exchange_for_smooth(l);
       ls.margin = 0;
     }
-    apply_op(l, active, "x", "Ax", split);
+    apply_op(l, active, "x", "Ax");
 
     check::ScheduleStep& res =
         rec_.kernel("kernel.residual", l, residual_effects());
@@ -317,65 +267,30 @@ void ScheduleWalker::gs_sweeps(int l, int iterations, bool with_residual,
   const MgLevel& L = lev(l);
   LevState& ls = st_[static_cast<std::size_t>(l)];
   const Box interior = L.interior();
-  auto color_sweep = [&](const Box& region, bool partial) {
+  auto color_sweep = [&](const Box& region) {
     check::ScheduleStep& step =
         rec_.kernel("kernel.gsColorSweep", l, gs_color_sweep_effects());
-    step.partial = partial;
     step.accesses.push_back(write_access("x", l, region, "x"));
     step.accesses.push_back(read_access("x", l, region, 1, "x"));
     step.accesses.push_back(read_access("b", l, region, 0, "b"));
   };
   for (int it = 0; it < iterations; ++it) {
     if (ca()) {
-      bool split = false;
-      if (ls.margin < 2 || !ls.b_ghosts_valid) {
-        split = s_.use_overlap(L);
-        if (split)
-          begin_exchange_for_smooth(l);
-        else
-          exchange_for_smooth(l);
-      }
-      const Box red_box = grow(interior, ls.margin - 1);
-      const Box black_box = grow(interior, ls.margin - 2);
-      if (split) {
-        const Box safe = s_.overlap_safe_box(L, red_box);
-        if (!safe.empty()) color_sweep(safe, /*partial=*/true);
-        rec_.exchange_finish(l);
-        color_sweep(red_box, /*partial=*/false);
-        color_sweep(black_box, /*partial=*/false);
-      } else {
-        color_sweep(red_box, /*partial=*/false);
-        color_sweep(black_box, /*partial=*/false);
-      }
+      if (ls.margin < 2 || !ls.b_ghosts_valid) exchange_for_smooth(l);
+      color_sweep(grow(interior, ls.margin - 1));
+      color_sweep(grow(interior, ls.margin - 2));
       ls.margin -= 2;
     } else {
       for (int color = 0; color < 2; ++color) {
-        if (s_.use_overlap(L)) {
-          begin_exchange_for_smooth(l);
-          const Box safe = s_.overlap_safe_box(L, interior);
-          if (!safe.empty()) color_sweep(safe, /*partial=*/true);
-          rec_.exchange_finish(l);
-          color_sweep(interior, /*partial=*/false);
-        } else {
-          exchange_for_smooth(l);
-          color_sweep(interior, /*partial=*/false);
-        }
+        exchange_for_smooth(l);
+        color_sweep(interior);
       }
       ls.margin = 0;
     }
   }
   if (with_residual) {
-    if (ls.margin < 1) {
-      if (s_.use_overlap(L)) {
-        begin_exchange_for_smooth(l);
-        apply_op(l, interior, "x", "Ax", /*split=*/true);
-      } else {
-        exchange_for_smooth(l);
-        apply_op(l, interior, "x", "Ax", /*split=*/false);
-      }
-    } else {
-      apply_op(l, interior, "x", "Ax", /*split=*/false);
-    }
+    if (ls.margin < 1) exchange_for_smooth(l);
+    apply_op(l, interior, "x", "Ax");
     if (restrict_to_coarse && L.plan.fuse_gs_tail) {
       check::ScheduleStep& step =
           rec_.kernel("kernel.fusedGsTail", l, fused::residual_restrict_effects());
@@ -414,7 +329,7 @@ void ScheduleWalker::bottom_cg(int l) {
     rec_.exchange(l, {"x"}, depth);
     ls.margin = depth;
   }
-  apply_op(l, interior, "x", "Ax", /*split=*/false);
+  apply_op(l, interior, "x", "Ax");
   check::ScheduleStep& res =
       rec_.kernel("kernel.residual", l, residual_effects());
   res.accesses.push_back(write_access("r", l, interior, "r"));
@@ -517,13 +432,8 @@ void ScheduleWalker::residual_norm() {
   const MgLevel& fine = lev(0);
   LevState& ls = st_[0];
   const Box interior = fine.interior();
-  if (ls.margin < fine.radius && s_.use_overlap(fine)) {
-    begin_exchange_for_smooth(0);
-    apply_op(0, interior, "x", "Ax", /*split=*/true);
-  } else {
-    if (ls.margin < fine.radius) exchange_for_smooth(0);
-    apply_op(0, interior, "x", "Ax", /*split=*/false);
-  }
+  if (ls.margin < fine.radius) exchange_for_smooth(0);
+  apply_op(0, interior, "x", "Ax");
   if (fine.plan.fuse_norm) {
     check::ScheduleStep& step = rec_.kernel(
         "kernel.fusedResidualNorm", 0, fused::residual_max_norm_effects());

@@ -1,9 +1,9 @@
 // Dry-run schedule recording for GmgSolver (DESIGN.md §18). The
 // ScheduleWalker replicates the solver's cycle routines — the CA
-// margin algebra, the aggregated-exchange decisions, the split-phase
-// overlap branches, and the fused-plan capability checks — step for
-// step against the live MgLevel/KernelPlan state, but instead of
-// launching kernels it records check::ScheduleStep entries. The
+// margin algebra, the aggregated-exchange decisions and the fused-plan
+// capability checks — step for step against the live
+// MgLevel/KernelPlan state, but instead of launching kernels it
+// records check::ScheduleStep entries. The
 // resulting Schedule is the complete planned launch/exchange sequence
 // of a solve, proven hazard-free by check::ScheduleVerifier at setup
 // time (the GmgSolver constructor runs verify_solver_schedule before
@@ -83,14 +83,8 @@ class ScheduleWalker {
   std::vector<std::string> smooth_exchange_fields(int l);
   index_t exchange_depth(int l) const;
   void exchange_for_smooth(int l);
-  void begin_exchange_for_smooth(int l);
-  /// applyOp over `active`, split-phase when the solver would split:
-  /// begin, partial pass over the remote-clipped safe box, finish,
-  /// then the full-region step. `in`/`out` name the bound fields.
-  void apply_op(int l, const Box& active, const char* in, const char* out,
-                bool split);
-  void record_apply(int l, const Box& active, const char* in, const char* out,
-                    bool partial);
+  /// applyOp over `active`; `in`/`out` name the bound fields.
+  void apply_op(int l, const Box& active, const char* in, const char* out);
   void add_chunk_writes(check::ScheduleStep& step, int l, const Box& active);
 
   void smooth_level(int l, int iterations, bool with_residual,

@@ -108,12 +108,6 @@ GmgSolver::GmgSolver(const GmgOptions& opts, const CartDecomp& decomp,
   opts_.levels = levels;
 
   const Box rank_box0 = decomp.subdomain_box(rank);
-  // Which ghost groups come from other ranks — a property of the rank
-  // grid alone, so identical on every level.
-  const std::array<bool, kNumDirections> remote =
-      decomp.remote_neighbors(rank);
-  bool has_remote = false;
-  for (bool r : remote) has_remote = has_remote || r;
 
   levels_.reserve(static_cast<std::size_t>(levels));
   for (int l = 0; l < levels; ++l) {
@@ -150,16 +144,6 @@ GmgSolver::GmgSolver(const GmgOptions& opts, const CartDecomp& decomp,
 
     lev.grid = std::make_shared<BrickGrid>(Vec3{
         lev.cells.x / shape.bx, lev.cells.y / shape.by, lev.cells.z / shape.bz});
-    lev.remote = remote;
-    lev.has_remote = has_remote;
-    lev.part = lev.grid->partition(remote);
-    lev.part_cells =
-        Box{{lev.part.interior_box.lo.x * shape.bx,
-             lev.part.interior_box.lo.y * shape.by,
-             lev.part.interior_box.lo.z * shape.bz},
-            {lev.part.interior_box.hi.x * shape.bx,
-             lev.part.interior_box.hi.y * shape.by,
-             lev.part.interior_box.hi.z * shape.bz}};
     lev.x = BrickedArray(lev.grid, shape);
     lev.b = BrickedArray(lev.grid, shape);
     lev.Ax = BrickedArray(lev.grid, shape);
@@ -326,118 +310,6 @@ void GmgSolver::exchange_for_smooth(comm::Communicator& comm, MgLevel& lev) {
   lev.margin = lev.shape.bx;
 }
 
-bool GmgSolver::use_overlap(const MgLevel& lev) const {
-  if (!(opts_.overlap && lev.has_remote &&
-        static_cast<int>(lev.part.interior.size()) >=
-            opts_.overlap_min_interior_bricks)) {
-    return false;
-  }
-  // Work-vs-traffic cutoff: split-phase only pays off when the interior
-  // compute hidden behind the messages outweighs the per-exchange
-  // split/submit/wait overhead, which scales with the remote payload.
-  // Value-neutral either way (DESIGN.md §10).
-  if (opts_.overlap_min_compute_bytes_ratio > 0.0) {
-    const double interior_bytes =
-        static_cast<double>(lev.part.interior.size()) *
-        static_cast<double>(lev.shape.volume()) * sizeof(real_t);
-    const double remote_bytes =
-        static_cast<double>(lev.exchange->remote_bytes_per_exchange());
-    if (interior_bytes <
-        opts_.overlap_min_compute_bytes_ratio * remote_bytes) {
-      return false;
-    }
-  }
-  return true;
-}
-
-exec::Engine& GmgSolver::engine() {
-  exec::Engine& eng = exec::default_engine();
-  const std::uint64_t gen = exec::default_engine_generation();
-  if (gen != engine_generation_) {
-    compute_stream_ = eng.create_stream("gmg.compute");
-    engine_generation_ = gen;
-  }
-  return eng;
-}
-
-void GmgSolver::begin_exchange_for_smooth(comm::Communicator& comm,
-                                          MgLevel& lev) {
-  const bool with_p = opts_.smoother == Smoother::kChebyshev &&
-                      lev.p.size() != 0;
-  profiler_.timed(lev.level, perf::Phase::kExchange, [&] {
-    std::vector<BrickedArray*> fields{&lev.x};
-    if (opts_.communication_avoiding && !lev.b_ghosts_valid) {
-      fields.push_back(&lev.b);
-      lev.b_ghosts_valid = true;
-    }
-    if (with_p && opts_.communication_avoiding) fields.push_back(&lev.p);
-    lev.exchange->begin(comm, std::move(fields));
-  });
-  // The margin is claimed at begin time: every consumer of the ghost
-  // layers runs after finish_exchange_overlapped() completes them.
-  lev.margin = lev.shape.bx;
-}
-
-Box GmgSolver::overlap_safe_box(const MgLevel& lev, const Box& active) const {
-  if (lev.part.interior_box.empty()) return Box{};
-  // Clamp to the interior-partition cells on sides with a remote
-  // neighbor (their ghost bricks are in-flight receive targets; one
-  // brick of owned surface keeps the stencil taps clear of them). On
-  // self-periodic sides the ghost copies completed synchronously in
-  // begin(), so the full active growth is safe.
-  Box safe = active;
-  for (int d = 0; d < 3; ++d) {
-    int off[3] = {0, 0, 0};
-    off[d] = -1;
-    if (lev.remote[static_cast<std::size_t>(
-            direction_index(off[0], off[1], off[2]))])
-      safe.lo[d] = std::max(safe.lo[d], lev.part_cells.lo[d]);
-    off[d] = 1;
-    if (lev.remote[static_cast<std::size_t>(
-            direction_index(off[0], off[1], off[2]))])
-      safe.hi[d] = std::min(safe.hi[d], lev.part_cells.hi[d]);
-  }
-  return safe.empty() ? Box{} : safe;
-}
-
-void GmgSolver::finish_exchange_overlapped(
-    comm::Communicator& comm, MgLevel& lev, const Box& active,
-    perf::Phase phase, const std::function<void(const Box&)>& kernel) {
-  const Box safe = overlap_safe_box(lev, active);
-  exec::Event done;
-  double interior_seconds = 0.0;
-  if (!safe.empty()) {
-    // The worker records the phase span itself (it owns the timing);
-    // the aggregate is updated from this thread after done.wait(),
-    // because Profiler::stats_ is not thread-safe.
-    exec::Engine& eng = engine();
-    eng.submit(compute_stream_, "overlap.interior", [&, safe] {
-      trace::TraceSpan span(perf::phase_name(phase),
-                            perf::phase_category(phase), lev.level);
-      kernel(safe);
-      interior_seconds = span.close();
-    });
-    done = eng.record(compute_stream_);
-  }
-  profiler_.timed(lev.level, perf::Phase::kExchange,
-                  [&] { lev.exchange->finish(comm); });
-  // Shell sweeps run on this thread while the interior task drains on
-  // the stream worker: the shell boxes and the safe box are disjoint
-  // cell regions writing disjoint storage (DESIGN.md §10), so the only
-  // ordering needed is done.wait() before anyone reads the result.
-  const std::vector<Box> shell = shell_boxes(active, safe);
-  if (!shell.empty()) {
-    profiler_.timed(lev.level, phase, [&] {
-      for (const Box& s : shell) kernel(s);
-    });
-  }
-  {
-    trace::TraceSpan wait_span("exec.wait_overlap", trace::Category::kWait);
-    done.wait();
-  }
-  if (!safe.empty()) profiler_.record(lev.level, phase, interior_seconds);
-}
-
 void GmgSolver::smooth_level(comm::Communicator& comm, MgLevel& lev,
                              int iterations, bool with_residual,
                              BrickedArray* restrict_to) {
@@ -457,60 +329,25 @@ void GmgSolver::gs_sweeps(comm::Communicator& comm, MgLevel& lev,
   for (int it = 0; it < iterations; ++it) {
     if (opts_.communication_avoiding) {
       // A full red+black iteration consumes two ghost layers.
-      bool split = false;
-      if (lev.margin < 2 || !lev.b_ghosts_valid) {
-        split = use_overlap(lev);
-        if (split)
-          begin_exchange_for_smooth(comm, lev);
-        else
-          exchange_for_smooth(comm, lev);
-      }
+      if (lev.margin < 2 || !lev.b_ghosts_valid)
+        exchange_for_smooth(comm, lev);
       const Box red_box = grow(interior, lev.margin - 1);
       const Box black_box = grow(interior, lev.margin - 2);
-      if (split) {
-        // A red cell reads only black-parity neighbors, which the red
-        // half-sweep never writes — so splitting red by region changes
-        // no value. Black needs the red updates everywhere and runs
-        // whole, after finish.
-        finish_exchange_overlapped(
-            comm, lev, red_box, perf::Phase::kSmooth,
-            [&](const Box& region) {
-              gs_color_sweep(lev.x, lev.b, lev.alpha, lev.beta, 0, origin,
-                             region);
-            });
-        profiler_.timed(lev.level, perf::Phase::kSmooth, [&] {
-          gs_color_sweep(lev.x, lev.b, lev.alpha, lev.beta, 1, origin,
-                         black_box);
-        });
-      } else {
-        profiler_.timed(lev.level, perf::Phase::kSmooth, [&] {
-          gs_color_sweep(lev.x, lev.b, lev.alpha, lev.beta, 0, origin,
-                         red_box);
-          gs_color_sweep(lev.x, lev.b, lev.alpha, lev.beta, 1, origin,
-                         black_box);
-        });
-      }
+      profiler_.timed(lev.level, perf::Phase::kSmooth, [&] {
+        gs_color_sweep(lev.x, lev.b, lev.alpha, lev.beta, 0, origin, red_box);
+        gs_color_sweep(lev.x, lev.b, lev.alpha, lev.beta, 1, origin,
+                       black_box);
+      });
       lev.margin -= 2;
     } else {
       // Without deep ghosts, the black half-sweep needs the red-updated
-      // neighbor values: exchange before each half-sweep. Either half
-      // splits cleanly by region (a cell never reads its own parity).
+      // neighbor values: exchange before each half-sweep.
       for (int color = 0; color < 2; ++color) {
-        if (use_overlap(lev)) {
-          begin_exchange_for_smooth(comm, lev);
-          finish_exchange_overlapped(
-              comm, lev, interior, perf::Phase::kSmooth,
-              [&](const Box& region) {
-                gs_color_sweep(lev.x, lev.b, lev.alpha, lev.beta, color,
-                               origin, region);
-              });
-        } else {
-          exchange_for_smooth(comm, lev);
-          profiler_.timed(lev.level, perf::Phase::kSmooth, [&] {
-            gs_color_sweep(lev.x, lev.b, lev.alpha, lev.beta, color, origin,
-                           interior);
-          });
-        }
+        exchange_for_smooth(comm, lev);
+        profiler_.timed(lev.level, perf::Phase::kSmooth, [&] {
+          gs_color_sweep(lev.x, lev.b, lev.alpha, lev.beta, color, origin,
+                         interior);
+        });
       }
       lev.margin = 0;
     }
@@ -518,25 +355,10 @@ void GmgSolver::gs_sweeps(comm::Communicator& comm, MgLevel& lev,
   if (with_residual) {
     // GS updates in place and leaves no fused residual; compute it for
     // the restriction that follows.
-    if (lev.margin < 1) {
-      if (use_overlap(lev)) {
-        begin_exchange_for_smooth(comm, lev);
-        finish_exchange_overlapped(
-            comm, lev, interior, perf::Phase::kApplyOp,
-            [&](const Box& region) {
-              apply_operator(lev, lev.Ax, lev.x, region);
-            });
-      } else {
-        exchange_for_smooth(comm, lev);
-        profiler_.timed(lev.level, perf::Phase::kApplyOp, [&] {
-          apply_operator(lev, lev.Ax, lev.x, interior);
-        });
-      }
-    } else {
-      profiler_.timed(lev.level, perf::Phase::kApplyOp, [&] {
-        apply_operator(lev, lev.Ax, lev.x, interior);
-      });
-    }
+    if (lev.margin < 1) exchange_for_smooth(comm, lev);
+    profiler_.timed(lev.level, perf::Phase::kApplyOp, [&] {
+      apply_operator(lev, lev.Ax, lev.x, interior);
+    });
     if (restrict_to != nullptr && lev.plan.fuse_gs_tail) {
       // Fused tail (the former separate-full-pass small fix): r and
       // its restriction into the coarse RHS in one pass per brick.
@@ -558,41 +380,18 @@ void GmgSolver::jacobi_sweeps(comm::Communicator& comm, MgLevel& lev,
   const index_t radius = lev.radius;
   for (int it = 0; it < iterations; ++it) {
     Box active = interior;
-    bool split = false;  // exchange begun, to finish around the applyOp
     if (opts_.communication_avoiding) {
       // Exchange when the ghost margin is spent — or when b's ghosts
       // are stale, since the redundant sweep reads b there too.
-      if (lev.margin < radius || !lev.b_ghosts_valid) {
-        split = use_overlap(lev);
-        if (split)
-          begin_exchange_for_smooth(comm, lev);
-        else
-          exchange_for_smooth(comm, lev);
-      }
+      if (lev.margin < radius || !lev.b_ghosts_valid)
+        exchange_for_smooth(comm, lev);
       active = grow(interior, lev.margin - radius);
     } else {
-      split = use_overlap(lev);
-      if (split)
-        begin_exchange_for_smooth(comm, lev);
-      else
-        exchange_for_smooth(comm, lev);
+      exchange_for_smooth(comm, lev);
       lev.margin = 0;
     }
-    // Only the operator application is split by region: Ax is computed
-    // from an x the exchange does not modify outside the ghost bricks,
-    // so interior-then-surface order cannot change any value. The
-    // pointwise update below stays one full-region call either way —
-    // that is the bitwise-identity argument (DESIGN.md §10).
-    if (split) {
-      finish_exchange_overlapped(
-          comm, lev, active, perf::Phase::kApplyOp,
-          [&](const Box& region) {
-            apply_operator(lev, lev.Ax, lev.x, region);
-          });
-    } else {
-      profiler_.timed(lev.level, perf::Phase::kApplyOp,
-                      [&] { apply_operator(lev, lev.Ax, lev.x, active); });
-    }
+    profiler_.timed(lev.level, perf::Phase::kApplyOp,
+                    [&] { apply_operator(lev, lev.Ax, lev.x, active); });
     // On the FINAL descent sweep the fused plan folds the restriction
     // of the just-computed residual into the same pass over each fine
     // brick (one pass instead of smooth+residual then restriction).
@@ -635,36 +434,16 @@ void GmgSolver::chebyshev_sweeps(comm::Communicator& comm, MgLevel& lev,
   real_t alpha_ch = 0.0;
   for (int it = 0; it < iterations; ++it) {
     Box active = interior;
-    bool split = false;
     if (opts_.communication_avoiding) {
-      if (lev.margin < radius || !lev.b_ghosts_valid) {
-        split = use_overlap(lev);
-        if (split)
-          begin_exchange_for_smooth(comm, lev);
-        else
-          exchange_for_smooth(comm, lev);
-      }
+      if (lev.margin < radius || !lev.b_ghosts_valid)
+        exchange_for_smooth(comm, lev);
       active = grow(interior, lev.margin - radius);
     } else {
-      split = use_overlap(lev);
-      if (split)
-        begin_exchange_for_smooth(comm, lev);
-      else
-        exchange_for_smooth(comm, lev);
+      exchange_for_smooth(comm, lev);
       lev.margin = 0;
     }
-    // Split only the applyOp (see jacobi_sweeps); the Chebyshev
-    // recurrence below reads Ax and runs once over the full region.
-    if (split) {
-      finish_exchange_overlapped(
-          comm, lev, active, perf::Phase::kApplyOp,
-          [&](const Box& region) {
-            apply_operator(lev, lev.Ax, lev.x, region);
-          });
-    } else {
-      profiler_.timed(lev.level, perf::Phase::kApplyOp,
-                      [&] { apply_operator(lev, lev.Ax, lev.x, active); });
-    }
+    profiler_.timed(lev.level, perf::Phase::kApplyOp,
+                    [&] { apply_operator(lev, lev.Ax, lev.x, active); });
     profiler_.timed(lev.level, perf::Phase::kSmoothResidual, [&] {
       residual(lev.r, lev.b, lev.Ax, active);
       // Chebyshev recurrence on the diagonally preconditioned
@@ -805,18 +584,10 @@ void GmgSolver::fmg(comm::Communicator& comm) {
 
 real_t GmgSolver::residual_norm(comm::Communicator& comm) {
   MgLevel& fine = levels_.front();
-  if (fine.margin < fine.radius && use_overlap(fine)) {
-    begin_exchange_for_smooth(comm, fine);
-    finish_exchange_overlapped(comm, fine, fine.interior(),
-                               perf::Phase::kApplyOp, [&](const Box& region) {
-                                 apply_operator(fine, fine.Ax, fine.x, region);
-                               });
-  } else {
-    if (fine.margin < fine.radius) exchange_for_smooth(comm, fine);
-    profiler_.timed(0, perf::Phase::kApplyOp, [&] {
-      apply_operator(fine, fine.Ax, fine.x, fine.interior());
-    });
-  }
+  if (fine.margin < fine.radius) exchange_for_smooth(comm, fine);
+  profiler_.timed(0, perf::Phase::kApplyOp, [&] {
+    apply_operator(fine, fine.Ax, fine.x, fine.interior());
+  });
   real_t local = 0;
   if (fine.plan.fuse_norm) {
     // Fused residual + max-norm: one pass instead of two, bitwise

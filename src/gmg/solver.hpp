@@ -11,7 +11,6 @@
 
 #include "brick/brick_arena.hpp"
 #include "comm/simmpi.hpp"
-#include "exec/engine.hpp"
 #include "exec/runtime.hpp"
 #include "gmg/level.hpp"
 #include "perf/profiler.hpp"
@@ -57,43 +56,6 @@ struct GmgOptions {
   bool communication_avoiding = true;
   comm::BrickExchangeMode exchange_mode = comm::BrickExchangeMode::kPackFree;
 
-  /// Overlap compute with the ghost exchange (DESIGN.md §10): each
-  /// exchange runs split-phase, with the stencil applied over the
-  /// interior brick partition on an exec::Engine worker while the
-  /// messages fly, then over the surface shell once finish() returns.
-  /// Bitwise identical to the blocking path (only the operator
-  /// application is split by region; the pointwise x-update still runs
-  /// as one full-region call). No effect on ranks with no remote
-  /// neighbor.
-  bool overlap = true;
-  /// Levels with fewer interior (non-surface) bricks than this fall
-  /// back to the blocking exchange even when `overlap` is on: on the
-  /// coarse grids there is next to no interior work to hide the
-  /// messages behind, so the split-phase machinery is pure overhead.
-  int overlap_min_interior_bricks = 4;
-  /// Second overlap cutoff, in work-vs-traffic terms: split-phase
-  /// engages only where the interior field bytes (the compute hidden
-  /// behind the messages) are at least this multiple of the remote
-  /// payload bytes one exchange round moves. The brick-count floor
-  /// above catches tiny coarse grids; this ratio catches the
-  /// surface-dominated shapes in between, where the safe interior is a
-  /// sliver and the split-phase machinery (stream submit, shell sweep
-  /// bookkeeping, event wait) costs more than the messages it hides.
-  /// Overlap is value-neutral (DESIGN.md §10), so this is purely a
-  /// performance knob; 0 disables the ratio test. The default was set
-  /// by measurement on fig8's 8-rank 64^3 problem: its split-phase
-  /// levels sit at interior/payload ratios of 0.44 (L0) and 0.05 (L1)
-  /// and hide 35–53% of the *visible* exchange wait there, yet the
-  /// wall clock runs a consistent ~6–10% *slower* than blocking —
-  /// with host-parallelism oversubscribed, the hidden wait is cost
-  /// moved, not removed, and the split/submit/wait machinery is a
-  /// pure add. 8.0 keeps split-phase for the regime where interior
-  /// arithmetic genuinely dwarfs the traffic (roughly >=64^3 per rank
-  /// at brick 4^3), and turns small-subdomain solves — including
-  /// everything the serve tier batches — back into the cheaper
-  /// blocking exchange. Set to 0 to measure raw split-phase behavior
-  /// (what fig8 --overlap=on reports per level).
-  double overlap_min_compute_bytes_ratio = 8.0;
   /// Upper bound on how many compatible requests the serve tier's
   /// coalescer may fuse into one batched solve through this hierarchy
   /// (src/batch). 1 = no coalescing. Not part of the hierarchy cache
@@ -296,28 +258,6 @@ class GmgSolver {
 
   void exchange_for_smooth(comm::Communicator& comm, MgLevel& lev);
 
-  // Split-phase overlap machinery (DESIGN.md §10).
-  /// Whether this level's exchanges should run split-phase.
-  bool use_overlap(const MgLevel& lev) const;
-  /// begin() half of exchange_for_smooth: same field aggregation and
-  /// margin bookkeeping, but returns with the messages still in
-  /// flight.
-  void begin_exchange_for_smooth(comm::Communicator& comm, MgLevel& lev);
-  /// The subregion of `active` whose stencil taps touch no remote
-  /// ghost brick — safe to compute while the exchange is in flight.
-  Box overlap_safe_box(const MgLevel& lev, const Box& active) const;
-  /// Complete a begun exchange while `kernel` runs over the safe
-  /// subregion of `active` on an engine stream; after finish(), run
-  /// `kernel` over the remaining surface shell on this thread while
-  /// the interior task drains. Both parts are profiled under `phase`.
-  void finish_exchange_overlapped(
-      comm::Communicator& comm, MgLevel& lev, const Box& active,
-      perf::Phase phase, const std::function<void(const Box&)>& kernel);
-  /// The process-wide runtime engine (exec::default_engine()), with
-  /// this solver's compute stream recreated whenever
-  /// configure_default_engine() has replaced the pool.
-  exec::Engine& engine();
-
   /// Whether the configured smoother/bottom solver needs the p field.
   bool needs_p() const {
     return opts_.smoother == Smoother::kChebyshev ||
@@ -325,8 +265,8 @@ class GmgSolver {
   }
 
   /// The dry-run schedule walker (schedule_audit.cpp) replicates the
-  /// sweep routines' margin algebra and overlap decisions; it needs
-  /// use_overlap/needs_p but must not mutate anything.
+  /// sweep routines' margin algebra; it needs needs_p but must not
+  /// mutate anything.
   friend class ScheduleWalker;
 
   GmgOptions opts_;
@@ -335,10 +275,6 @@ class GmgSolver {
   bool storage_detached_ = false;
   std::vector<MgLevel> levels_;
   perf::Profiler profiler_;
-  /// Generation of exec::default_engine() that compute_stream_ was
-  /// created on; 0 = not yet created (generations start at 1).
-  std::uint64_t engine_generation_ = 0;
-  exec::Stream compute_stream_;
 };
 
 }  // namespace gmg

@@ -29,11 +29,9 @@ namespace gmg::trace {
 
 /// Coarse event classification, mapped to the Chrome trace "cat"
 /// field. kWait marks time blocked on another rank (exchange waits,
-/// barriers, reductions) — the per-rank skew signal. kExec marks work
-/// scheduled through the exec::Engine task engine (interior compute
-/// overlapped with an in-flight exchange); on the timeline these spans
-/// run concurrently with the same rank's exchange.finish wait, which
-/// is how compute–comm overlap is made visible.
+/// barriers, reductions) — the per-rank skew signal. kExec marks the
+/// chunk work exec::Engine pool workers run on behalf of a rank's
+/// parallel_for.
 enum class Category : std::uint8_t {
   kCompute,
   kComm,

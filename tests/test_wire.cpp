@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -335,6 +336,17 @@ TEST(Wire, DecodeValidatesSemanticFields) {
   bad = good;
   bad.operator_id = "";
   EXPECT_FALSE(decode_submit(payload_of(bad), &out, &err));
+
+  // Non-finite RHS samples are rejected at the wire, by name.
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  for (const real_t poison : {std::nan(""), inf, -inf}) {
+    bad = good;
+    bad.rhs_samples[5] = poison;
+    err.clear();
+    EXPECT_FALSE(decode_submit(payload_of(bad), &out, &err));
+    EXPECT_EQ(err, "non-finite rhs sample");
+  }
+  ASSERT_TRUE(decode_submit(payload_of(good), &out, &err)) << err;
 
   // Trailing bytes are a protocol violation.
   const std::vector<std::uint8_t> ping = encode_ping(1);
