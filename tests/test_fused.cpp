@@ -18,6 +18,7 @@
 #include "check/shadow.hpp"
 #include "exec/runtime.hpp"
 #include "gmg/fused_kernels.hpp"
+#include "gmg/operators.hpp"
 #include "gmg/solver.hpp"
 #include "tests/test_util.hpp"
 
@@ -173,6 +174,29 @@ TEST(FusedDescent, BitwiseIdenticalAcrossWorkerCounts) {
       expect_bitwise(ref, got, "worker count");
     }
   });
+}
+
+TEST(FusedDescent, ResidualMaxNormPropagatesNaN) {
+  // The fused residual + max-norm must agree with the split
+  // residual() + max_norm() on poisoned data too: one NaN in b, in any
+  // reduction chunk, makes the norm NaN.
+  const Vec3 n{64, 64, 64};
+  BrickedArray b = BrickedArray::create(n, BrickShape::cube(4));
+  BrickedArray Ax(b.grid_ptr(), b.shape());
+  BrickedArray r(b.grid_ptr(), b.shape());
+  BrickedArray r_split(b.grid_ptr(), b.shape());
+  b.fill(1.0);
+  Ax.fill(0.25);
+  EXPECT_EQ(fused::residual_max_norm(r, b, Ax), 0.75);
+  for (const Vec3 cell : {Vec3{0, 0, 0}, Vec3{20, 50, 9}, Vec3{63, 63, 63}}) {
+    b(cell.x, cell.y, cell.z) = std::nan("");
+    residual(r_split, b, Ax, Box::from_extent(n));
+    EXPECT_TRUE(std::isnan(max_norm(r_split)));
+    EXPECT_TRUE(std::isnan(fused::residual_max_norm(r, b, Ax)))
+        << "(" << cell.x << ',' << cell.y << ',' << cell.z << ')';
+    EXPECT_TRUE(std::isnan(r(cell.x, cell.y, cell.z)));
+    b(cell.x, cell.y, cell.z) = 1.0;
+  }
 }
 
 TEST(FusedDescent, MultiRankMatchesSingleRankBitwise) {

@@ -3,6 +3,8 @@
 // inter-grid transfer operators.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "baseline/operators_array.hpp"
 #include "gmg/operators.hpp"
 #include "tests/test_util.hpp"
@@ -121,6 +123,23 @@ TEST_P(OperatorEquivalence, MaxNorm) {
   EXPECT_EQ(max_norm(xb), baseline::max_norm(xa));
   init_zero(xb);
   EXPECT_EQ(max_norm(xb), 0.0);
+}
+
+TEST(MaxNormProperties, NaNInAnyInteriorCellPropagates) {
+  // 64^3 cells span several reduction chunks. A NaN in any interior
+  // cell, whichever chunk and SIMD lane it lands in, is the norm; a
+  // NaN in a ghost brick is not part of it.
+  BrickedArray f = BrickedArray::create({64, 64, 64}, BrickShape::cube(4));
+  f.fill(-2.0);
+  EXPECT_EQ(max_norm(f), 2.0);
+  f(-1, 5, 5) = std::nan("");
+  EXPECT_EQ(max_norm(f), 2.0);
+  for (const Vec3 cell : {Vec3{0, 0, 0}, Vec3{33, 17, 40}, Vec3{63, 63, 63}}) {
+    f(cell.x, cell.y, cell.z) = std::nan("");
+    EXPECT_TRUE(std::isnan(max_norm(f)))
+        << "(" << cell.x << ',' << cell.y << ',' << cell.z << ')';
+    f(cell.x, cell.y, cell.z) = -2.0;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BrickDims, OperatorEquivalence,

@@ -126,6 +126,24 @@ TEST(SolveService, SingleRequestMatchesSoloSolverBitwise) {
   EXPECT_EQ(res.solution, ref.solution);
 }
 
+TEST(SolveService, NonFiniteRhsReportsUnconverged) {
+  // A NaN RHS reaching the service (the in-process API has no wire
+  // check) runs, stops within a cycle, and says it did not converge.
+  ServeConfig cfg;
+  cfg.executors = 1;
+  SolveService service(cfg);
+  service.register_operator("poisson", small_options());
+  SolveRequest req = basic_request();
+  req.rhs = [](real_t x, real_t y, real_t z) {
+    return x < 0.05 && y < 0.05 && z < 0.05 ? std::nan("") : sine_rhs(x, y, z);
+  };
+  const RequestResult& res = service.submit(req).get();
+  ASSERT_EQ(res.status, RequestStatus::kDone) << res.error;
+  EXPECT_FALSE(res.solve.converged);
+  EXPECT_TRUE(std::isnan(res.solve.final_residual));
+  EXPECT_LE(res.solve.vcycles, 1);
+}
+
 TEST(SolveService, CachedHierarchySolvesBitwiseIdenticalToCold) {
   ServeConfig cfg;
   cfg.executors = 1;

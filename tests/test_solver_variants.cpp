@@ -42,6 +42,34 @@ SolveResult run_solve(const GmgOptions& opts, Vec3 n = {32, 32, 32}) {
   return result;
 }
 
+TEST(SmootherVariants, NonFiniteRhsNeverReportsConvergedForAnySmoother) {
+  // Each smoother and the CG bottom solver reduce through their own
+  // kernels; whichever runs, a NaN RHS cell must end the solve
+  // unconverged with a NaN residual.
+  const auto poisoned = [](real_t x, real_t y, real_t z) {
+    return x < 0.05 && y < 0.05 && z < 0.05 ? std::nan("") : sine_rhs(x, y, z);
+  };
+  const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
+  for (Smoother sm : {Smoother::kPointJacobi, Smoother::kWeightedJacobi,
+                      Smoother::kChebyshev, Smoother::kRedBlackGS}) {
+    for (BottomSolverType bottom :
+         {BottomSolverType::kSmooth, BottomSolverType::kConjugateGradient}) {
+      GmgOptions o = base_options();
+      o.smoother = sm;
+      o.bottom = bottom;
+      comm::World world(1);
+      world.run([&](comm::Communicator& c) {
+        GmgSolver solver(o, decomp, 0);
+        solver.set_rhs(poisoned);
+        const SolveResult res = solver.solve(c);
+        EXPECT_FALSE(res.converged) << static_cast<int>(sm);
+        EXPECT_TRUE(std::isnan(res.final_residual)) << static_cast<int>(sm);
+        EXPECT_LE(res.vcycles, 1);
+      });
+    }
+  }
+}
+
 TEST(SmootherVariants, WeightedJacobiHalfMatchesPointJacobiBitwise) {
   GmgOptions a = base_options();
   a.smoother = Smoother::kPointJacobi;
