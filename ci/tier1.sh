@@ -7,7 +7,9 @@
 #   2. A separate ASan+UBSan tree (./build-asan, bench/examples off)
 #      running the trace recorder and simmpi/exchange tests — the
 #      multi-threaded code where a data race or lifetime bug in the
-#      per-thread ring buffers would hide.
+#      per-thread ring buffers would hide — and the wire and front
+#      tests: the wire decoder is the hostile-input surface, where
+#      UBSan catches a signed overflow in a size check.
 #   3. A TSan tree (./build-tsan, OpenMP off — see GMG_SANITIZE_THREAD)
 #      running the kernel-runtime parallel_for pool, simmpi, ghost
 #      exchange, and solve-service tests: the worker-pool handoffs of
@@ -15,8 +17,9 @@
 #      cache / brick arena (§12) are exactly what a race detector must
 #      see scheduled live. The socket front's wire and server tests
 #      (§14: poll loop x executor completion callbacks x client
-#      threads) and the batched-solve suite (§15: the coalescer's
-#      hold-window handoff) ride in the same tree, as does the AMR
+#      threads) and the K-wide solve suite (§15: one schedule over K
+#      right-hand sides; the coalescer's hold-window handoff is in
+#      test_serve) ride in the same tree, as does the AMR
 #      composite suite (§17: patch smoothing and the interface kernels
 #      run through the same parallel_for engine).
 #
@@ -44,7 +47,7 @@ echo "-- gmg_lint"
 ./build/tools/gmg_lint .
 # Schedule-verifier dry runs (DESIGN.md §18): record + statically prove
 # the planned launch/exchange sequences of the smoother matrix, the
-# K=4 batched solve, and the AMR composite cycle — both fusion states —
+# solver's K=4 schedule, and the AMR composite cycle — both fusion states —
 # without executing a sweep. The overhead assertion keeps the setup-time
 # proof cheap enough to stay on by default (GMG_VERIFY_SCHEDULE).
 echo "-- schedule verifier dry-run, fusion on"
@@ -111,15 +114,15 @@ done
 if [[ "${SKIP_ASAN}" == 1 ]]; then
   echo "== skipping ASan+UBSan pass =="
 else
-  echo "== ASan+UBSan: trace + comm tests =="
+  echo "== ASan+UBSan: trace + comm + wire/front tests =="
   cmake -B build-asan -S . \
     -DGMG_SANITIZE=ON \
     -DGMG_ENABLE_BENCH=OFF \
     -DGMG_ENABLE_EXAMPLES=OFF \
     -DGMG_NATIVE_ARCH=OFF >/dev/null
   cmake --build build-asan -j"${JOBS}" \
-    --target test_trace test_simmpi test_exchange
-  for t in test_trace test_simmpi test_exchange; do
+    --target test_trace test_simmpi test_exchange test_wire test_front
+  for t in test_trace test_simmpi test_exchange test_wire test_front; do
     echo "-- ${t} (sanitized)"
     "./build-asan/tests/${t}"
   done

@@ -86,7 +86,7 @@ inline void slot_require_shape(const BrickedArray& f, BrickShape base, int) {
 }
 
 template <typename BD, typename Expr, typename... Fields>
-void apply_batched_impl(BD, const Expr& expr, BatchedBrickedArray& out,
+void apply_batched_impl(BD, const Expr& expr, BatchedBrickedArray out,
                         const Box& active, const Fields&... inputs) {
   const BrickGrid& grid = out.grid();
   const auto check_grid = [&](const auto& f) {
@@ -167,7 +167,7 @@ void apply_batched_impl(BD, const Expr& expr, BatchedBrickedArray& out,
 /// over `active` (base cell coordinates). Inputs may be
 /// BatchedBrickedArrays (per-component) or BrickedArrays (shared).
 template <typename Expr, typename... Fields>
-void apply(const Expr& expr, BatchedBrickedArray& out, const Box& active,
+void apply(const Expr& expr, BatchedBrickedArray out, const Box& active,
            const Fields&... inputs) {
   (detail::slot_require_shape(inputs, out.base_shape(), out.batch()), ...);
   with_brick_dims(out.base_shape(), [&](auto bd) {

@@ -1,38 +1,24 @@
-// Multi-RHS (batched) bricked storage — AoSoA with the batch index
-// innermost (DESIGN.md §15).
-//
-// A batch of K systems shares one BrickGrid and stores component c of
-// cell (i,j,k) at inner element (i*K + c, j, k) of a BrickedArray
-// whose brick shape is stretched along x: {bx*K, by, bz}. That makes
-// the K components of a cell adjacent in memory (the innermost fold of
-// the AoSoA layout), keeps every brick contiguous, and — because the
-// ghost-exchange engine only cares about whole-brick storage ranges —
-// lets ONE BrickExchange round built on the stretched shape move all K
-// components of every ghost brick per neighbor.
+// A K-wide BrickedArray seen through the batched kernels' eyes
+// (DESIGN.md §15). The storage is an ordinary BrickedArray with
+// components() == K (bricked_array.hpp): component c of cell (i,j,k)
+// sits at storage element (i*K + c, j, k) of the stretched brick shape
+// {bx*K, by, bz}.
 //
 // The key flat-index identity the batched kernels build on: interior
-// bricks are ids [0, num_interior) in both the solo and the stretched
-// layout (same grid), so if a solo field stores interior element e at
-// flat offset e, the batched field stores component c of that same
-// cell at flat offset e*K + c. Component c of the whole interior is a
+// bricks are ids [0, num_interior) in both the plain and the stretched
+// layout (same grid), so if a plain field stores interior element e at
+// flat offset e, the K-wide field stores component c of that same cell
+// at flat offset e*K + c. Component c of the whole interior is a
 // stride-K slice of one contiguous span — which is what makes the
-// per-component reductions below bitwise identical to solo (see
-// batched_kernels.cpp).
+// per-component reductions bitwise identical to a one-component field
+// (see batched_kernels.cpp).
 #pragma once
 
-#include <utility>
-
-#include "brick/brick_arena.hpp"
 #include "brick/bricked_array.hpp"
 
 namespace gmg::batch {
 
-/// The stretched inner brick shape for a batch of `k` systems.
-inline BrickShape stretched_shape(BrickShape base, int k) {
-  return BrickShape{base.bx * static_cast<index_t>(k), base.by, base.bz};
-}
-
-/// Map a box in base cell coordinates to the stretched inner
+/// Map a box in base cell coordinates to the stretched storage
 /// coordinates (x scaled by K; the image covers all K components of
 /// every base cell).
 inline Box stretch_box(const Box& b, int k) {
@@ -40,53 +26,43 @@ inline Box stretch_box(const Box& b, int k) {
   return Box{{b.lo.x * kk, b.lo.y, b.lo.z}, {b.hi.x * kk, b.hi.y, b.hi.z}};
 }
 
+/// Non-owning view of a K-wide BrickedArray. Kernels take outputs as
+/// views by value and inputs as `const BatchedBrickedArray&`; a const
+/// view grants read access only.
 class BatchedBrickedArray {
  public:
-  BatchedBrickedArray() = default;
+  explicit BatchedBrickedArray(const BrickedArray& a)
+      : a_(const_cast<BrickedArray*>(&a)) {}
 
-  BatchedBrickedArray(std::shared_ptr<const BrickGrid> grid, BrickShape base,
-                      int k, bool zero = true)
-      : base_(base),
-        k_(static_cast<index_t>(k)),
-        inner_(std::move(grid), stretched_shape(base, k), zero) {}
-
-  /// Adopt pooled storage from a BrickArena (zeroed through the kernel
-  /// runtime's chunk plan, like any arena acquire).
-  BatchedBrickedArray(std::shared_ptr<const BrickGrid> grid, BrickShape base,
-                      int k, BrickArena& arena)
-      : base_(base),
-        k_(static_cast<index_t>(k)),
-        inner_(arena.acquire(std::move(grid), stretched_shape(base, k))) {}
-
-  int batch() const { return static_cast<int>(k_); }
-  BrickShape base_shape() const { return base_; }
+  int batch() const { return a_->components(); }
+  BrickShape base_shape() const { return a_->base_shape(); }
 
   /// The stretched-shape storage array: what the ghost exchange, the
   /// hazard-detector scopes, and init_zero operate on directly.
-  BrickedArray& inner() { return inner_; }
-  const BrickedArray& inner() const { return inner_; }
+  BrickedArray& inner() { return *a_; }
+  const BrickedArray& inner() const { return *a_; }
 
-  const BrickGrid& grid() const { return inner_.grid(); }
-  std::size_t size() const { return inner_.size(); }
-  real_t* data() { return inner_.data(); }
-  const real_t* data() const { return inner_.data(); }
+  const BrickGrid& grid() const { return a_->grid(); }
+  std::size_t size() const { return a_->size(); }
+  real_t* data() { return a_->data(); }
+  const real_t* data() const { return a_->data(); }
 
   /// Element access by base cell coordinate and component (convenience
   /// path; kernels iterate bricks directly).
   real_t& at(index_t i, index_t j, index_t k, int c) {
-    return inner_(i * k_ + static_cast<index_t>(c), j, k);
+    return a_->at(i, j, k, c);
   }
   const real_t& at(index_t i, index_t j, index_t k, int c) const {
-    return inner_(i * k_ + static_cast<index_t>(c), j, k);
+    return a_->at(i, j, k, c);
   }
 
-  /// Return the storage to an arena, leaving this array empty.
-  void release_to(BrickArena& arena) { arena.release(std::move(inner_)); }
-
  private:
-  BrickShape base_{};
-  index_t k_ = 1;
-  BrickedArray inner_;
+  BrickedArray* a_;
 };
+
+/// The batched view of a K-wide field.
+inline BatchedBrickedArray view(const BrickedArray& a) {
+  return BatchedBrickedArray(a);
+}
 
 }  // namespace gmg::batch

@@ -204,7 +204,7 @@ void scratch_reserve(AlignedVec& s, std::int64_t n) {
 /// components with the solo tap summation order (xm + xp + ym + yp +
 /// zm + zp) kept identical.
 template <typename BD>
-void apply_op_7pt_b(BD, BatchedBrickedArray& Ax, const BatchedBrickedArray& x,
+void apply_op_7pt_b(BD, BatchedBrickedArray Ax, const BatchedBrickedArray& x,
                     real_t alpha, real_t beta, const Box& active) {
   const BrickGrid& grid = x.grid();
   const index_t K = static_cast<index_t>(x.batch());
@@ -293,7 +293,7 @@ void apply_op_7pt_b(BD, BatchedBrickedArray& Ax, const BatchedBrickedArray& x,
 
 }  // namespace
 
-void apply_op(BatchedBrickedArray& Ax, const BatchedBrickedArray& x,
+void apply_op(BatchedBrickedArray Ax, const BatchedBrickedArray& x,
               real_t alpha, real_t beta, const Box& active) {
   require_compatible(Ax, x);
   trace::TraceSpan span("kernel.applyOp");
@@ -306,7 +306,7 @@ void apply_op(BatchedBrickedArray& Ax, const BatchedBrickedArray& x,
   });
 }
 
-void smooth(BatchedBrickedArray& x, const BatchedBrickedArray& Ax,
+void smooth(BatchedBrickedArray x, const BatchedBrickedArray& Ax,
             const BatchedBrickedArray& b, real_t gamma, const Box& active) {
   require_compatible(x, Ax);
   require_compatible(x, b);
@@ -331,7 +331,7 @@ void smooth(BatchedBrickedArray& x, const BatchedBrickedArray& Ax,
   });
 }
 
-void smooth_residual(BatchedBrickedArray& x, BatchedBrickedArray& r,
+void smooth_residual(BatchedBrickedArray x, BatchedBrickedArray r,
                      const BatchedBrickedArray& Ax,
                      const BatchedBrickedArray& b, real_t gamma,
                      const Box& active) {
@@ -364,7 +364,7 @@ void smooth_residual(BatchedBrickedArray& x, BatchedBrickedArray& r,
   });
 }
 
-void residual(BatchedBrickedArray& r, const BatchedBrickedArray& b,
+void residual(BatchedBrickedArray r, const BatchedBrickedArray& b,
               const BatchedBrickedArray& Ax, const Box& active) {
   require_compatible(r, b);
   require_compatible(r, Ax);
@@ -389,7 +389,7 @@ void residual(BatchedBrickedArray& r, const BatchedBrickedArray& b,
   });
 }
 
-void restriction(BatchedBrickedArray& coarse, const BatchedBrickedArray& fine) {
+void restriction(BatchedBrickedArray coarse, const BatchedBrickedArray& fine) {
   const Vec3 fe = fine.inner().extent(), ce = coarse.inner().extent();
   GMG_REQUIRE(fe.x == 2 * ce.x && fe.y == 2 * ce.y && fe.z == 2 * ce.z,
               "fine extent must be twice the coarse extent");
@@ -451,8 +451,8 @@ void restriction(BatchedBrickedArray& coarse, const BatchedBrickedArray& fine) {
   });
 }
 
-void smooth_residual_restrict(BatchedBrickedArray& x, BatchedBrickedArray& r,
-                              BatchedBrickedArray& coarse_b,
+void smooth_residual_restrict(BatchedBrickedArray x, BatchedBrickedArray r,
+                              BatchedBrickedArray coarse_b,
                               const BatchedBrickedArray& Ax,
                               const BatchedBrickedArray& b, real_t gamma,
                               const Box& active) {
@@ -497,8 +497,8 @@ void smooth_residual_restrict(BatchedBrickedArray& x, BatchedBrickedArray& r,
 }
 
 void smooth_residual_restrict_varcoef(
-    BatchedBrickedArray& x, BatchedBrickedArray& r,
-    BatchedBrickedArray& coarse_b, const BatchedBrickedArray& Ax,
+    BatchedBrickedArray x, BatchedBrickedArray r,
+    BatchedBrickedArray coarse_b, const BatchedBrickedArray& Ax,
     const BatchedBrickedArray& b, const BrickedArray& diag, real_t omega,
     const Box& active) {
   require_compatible(x, r);
@@ -542,7 +542,7 @@ void smooth_residual_restrict_varcoef(
   });
 }
 
-void residual_restrict(BatchedBrickedArray& r, BatchedBrickedArray& coarse_b,
+void residual_restrict(BatchedBrickedArray r, BatchedBrickedArray coarse_b,
                        const BatchedBrickedArray& b,
                        const BatchedBrickedArray& Ax) {
   require_compatible(r, b);
@@ -594,7 +594,7 @@ void residual_restrict(BatchedBrickedArray& r, BatchedBrickedArray& coarse_b,
   });
 }
 
-void interpolation_increment(BatchedBrickedArray& fine,
+void interpolation_increment(BatchedBrickedArray fine,
                              const BatchedBrickedArray& coarse) {
   const Vec3 fe = fine.inner().extent(), ce = coarse.inner().extent();
   GMG_REQUIRE(fe.x == 2 * ce.x && fe.y == 2 * ce.y && fe.z == 2 * ce.z,
@@ -649,7 +649,7 @@ void interpolation_increment(BatchedBrickedArray& fine,
   });
 }
 
-void gs_color_sweep(BatchedBrickedArray& x, const BatchedBrickedArray& b,
+void gs_color_sweep(BatchedBrickedArray x, const BatchedBrickedArray& b,
                     real_t alpha, real_t beta, int color, Vec3 origin,
                     const Box& active) {
   GMG_REQUIRE(color == 0 || color == 1, "color must be 0 (red) or 1 (black)");
@@ -746,8 +746,6 @@ void gs_color_sweep(BatchedBrickedArray& x, const BatchedBrickedArray& b,
   });
 }
 
-void init_zero(BatchedBrickedArray& a) { gmg::init_zero(a.inner()); }
-
 real_t max_norm(const BatchedBrickedArray& a, int c) {
   // fp max is exactly associative, so a direct strided reduce matches
   // solo regardless of chunking or vectorization; nan_max keeps a NaN
@@ -764,28 +762,6 @@ real_t max_norm(const BatchedBrickedArray& a, int c) {
               local, std::abs(p[static_cast<std::size_t>(i) * K + cc]));
         }
         return local;
-      });
-}
-
-real_t norm2_sq(const BatchedBrickedArray& a, int c) {
-  // Same chunk plan, same noinline per-chunk body, same 64-byte chunk
-  // alignment as solo norm2_sq — the partial sums and the fixed
-  // combine-in-chunk-order tree are bitwise identical to a solo field
-  // holding component c's values.
-  const real_t* __restrict p = a.data();
-  const std::size_t K = static_cast<std::size_t>(a.batch());
-  const std::size_t cc = static_cast<std::size_t>(c);
-  return exec::parallel_reduce_sum<real_t>(
-      "kernel.norm2", interior_span_base(a), exec::kElementGrain,
-      [&](std::int64_t lo, std::int64_t hi) {
-        AlignedVec& s = tl_scratch(0);
-        const std::int64_t n = hi - lo;
-        scratch_reserve(s, n);
-        for (std::int64_t i = 0; i < n; ++i) {
-          s[static_cast<std::size_t>(i)] =
-              p[static_cast<std::size_t>(lo + i) * K + cc];
-        }
-        return gmg::detail::sum_sq_range(s.data(), n);
       });
 }
 
@@ -813,7 +789,7 @@ real_t dot_interior(const BatchedBrickedArray& a, const BatchedBrickedArray& b,
       });
 }
 
-void axpy_interior(BatchedBrickedArray& y, real_t alpha,
+void axpy_interior(BatchedBrickedArray y, real_t alpha,
                    const BatchedBrickedArray& x, int c) {
   require_compatible(y, x);
   real_t* __restrict py = y.data();
@@ -830,7 +806,7 @@ void axpy_interior(BatchedBrickedArray& y, real_t alpha,
                      });
 }
 
-void xpay_interior(BatchedBrickedArray& y, const BatchedBrickedArray& x,
+void xpay_interior(BatchedBrickedArray y, const BatchedBrickedArray& x,
                    real_t beta, int c) {
   require_compatible(y, x);
   real_t* __restrict py = y.data();
@@ -847,21 +823,7 @@ void xpay_interior(BatchedBrickedArray& y, const BatchedBrickedArray& x,
                      });
 }
 
-void copy_interior(BatchedBrickedArray& dst, const BatchedBrickedArray& src) {
-  require_compatible(dst, src);
-  real_t* __restrict pd = dst.data();
-  const real_t* __restrict ps = src.data();
-  const std::int64_t n =
-      interior_span_base(dst) * static_cast<std::int64_t>(dst.batch());
-  exec::parallel_for("kernel.copy", n, exec::kElementGrain,
-                     [&](std::int64_t lo, std::int64_t hi) {
-                       std::memcpy(pd + lo, ps + lo,
-                                   static_cast<std::size_t>(hi - lo) *
-                                       sizeof(real_t));
-                     });
-}
-
-void axpy(BatchedBrickedArray& y, real_t alpha, const BatchedBrickedArray& x,
+void axpy(BatchedBrickedArray y, real_t alpha, const BatchedBrickedArray& x,
           const Box& active) {
   require_compatible(y, x);
   const auto scope = check::scope_if_enabled(
@@ -882,7 +844,7 @@ void axpy(BatchedBrickedArray& y, real_t alpha, const BatchedBrickedArray& x,
   });
 }
 
-void cheby_p_update(BatchedBrickedArray& p, const BatchedBrickedArray& r,
+void cheby_p_update(BatchedBrickedArray p, const BatchedBrickedArray& r,
                     real_t inv_diag, real_t beta, const Box& active) {
   require_compatible(p, r);
   const auto scope = check::scope_if_enabled(
@@ -903,7 +865,7 @@ void cheby_p_update(BatchedBrickedArray& p, const BatchedBrickedArray& r,
   });
 }
 
-void apply_op_varcoef(BatchedBrickedArray& Ax, const BatchedBrickedArray& x,
+void apply_op_varcoef(BatchedBrickedArray Ax, const BatchedBrickedArray& x,
                       const BrickedArray& beta, real_t identity_coef, real_t h,
                       const Box& active) {
   require_compatible(Ax, x);
@@ -915,7 +877,7 @@ void apply_op_varcoef(BatchedBrickedArray& Ax, const BatchedBrickedArray& x,
   batch::apply(vc::apply_expr(identity_coef, f), Ax, active, x, beta);
 }
 
-void smooth_residual_varcoef(BatchedBrickedArray& x, BatchedBrickedArray& r,
+void smooth_residual_varcoef(BatchedBrickedArray x, BatchedBrickedArray r,
                              const BatchedBrickedArray& Ax,
                              const BatchedBrickedArray& b,
                              const BrickedArray& diag, real_t omega,
@@ -953,7 +915,7 @@ void smooth_residual_varcoef(BatchedBrickedArray& x, BatchedBrickedArray& r,
   });
 }
 
-void smooth_varcoef(BatchedBrickedArray& x, const BatchedBrickedArray& Ax,
+void smooth_varcoef(BatchedBrickedArray x, const BatchedBrickedArray& Ax,
                     const BatchedBrickedArray& b, const BrickedArray& diag,
                     real_t omega, const Box& active) {
   require_compatible(x, Ax);
@@ -983,7 +945,7 @@ void smooth_varcoef(BatchedBrickedArray& x, const BatchedBrickedArray& Ax,
   });
 }
 
-void cheby_p_update_varcoef(BatchedBrickedArray& p,
+void cheby_p_update_varcoef(BatchedBrickedArray p,
                             const BatchedBrickedArray& r,
                             const BrickedArray& diag, real_t beta_ch,
                             const Box& active) {

@@ -3,9 +3,10 @@
 namespace gmg {
 
 BrickedArray BrickArena::acquire(std::shared_ptr<const BrickGrid> grid,
-                                 BrickShape shape) {
-  const std::size_t needed = static_cast<std::size_t>(grid->num_bricks()) *
-                             static_cast<std::size_t>(shape.volume());
+                                 BrickShape shape, int components) {
+  const std::size_t needed =
+      static_cast<std::size_t>(grid->num_bricks()) *
+      static_cast<std::size_t>(stretched_shape(shape, components).volume());
   AlignedBuffer<real_t> storage;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -23,7 +24,7 @@ BrickedArray BrickArena::acquire(std::shared_ptr<const BrickGrid> grid,
   // Zeroing (and the miss path's allocation) runs outside the lock;
   // the adopting constructor reuses the buffer when the size matches.
   return BrickedArray(std::move(grid), shape, std::move(storage),
-                      /*zero=*/true);
+                      /*zero=*/true, components);
 }
 
 void BrickArena::release(BrickedArray&& a) {

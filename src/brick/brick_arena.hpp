@@ -31,8 +31,9 @@ class BrickArena {
 
   /// A zeroed field over `grid`, backed by a pooled buffer of matching
   /// size when one is available (a *hit*), freshly allocated otherwise.
+  /// `components` > 1 makes it K-wide over base shape `shape`.
   BrickedArray acquire(std::shared_ptr<const BrickGrid> grid,
-                       BrickShape shape);
+                       BrickShape shape, int components = 1);
 
   /// Surrender an array's storage back to the pool. Empty arrays
   /// (default-constructed or already taken) are ignored.

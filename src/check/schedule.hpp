@@ -2,10 +2,9 @@
 // verification ladder). A Schedule is the full planned sequence of
 // kernel launches, ghost exchanges, masked sweeps, reductions and component retirements one solver
 // configuration will execute — recorded by a dry-run walker
-// (gmg/schedule_audit.hpp, batch/batched_audit.hpp,
-// amr/composite_audit.hpp) that replicates the solver's margin
-// algebra without running a single sweep. The ScheduleVerifier then
-// statically proves, per level and per field:
+// (gmg/schedule_audit.hpp, amr/composite_audit.hpp) that replicates
+// the solver's margin algebra without running a single sweep. The
+// ScheduleVerifier then statically proves, per level and per field:
 //
 //   * ghost-validity: every read reaching `g` layers past the
 //     interior is preceded by a completed exchange (or producing

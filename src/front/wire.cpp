@@ -187,6 +187,15 @@ class Cursor {
   std::size_t off_ = 0;
 };
 
+/// x*y*z for positive factors, or -1 when the product overflows
+/// int64 (a wrapped product could pass any later size check).
+std::int64_t checked_volume(std::int64_t x, std::int64_t y, std::int64_t z) {
+  std::int64_t xy = 0, xyz = 0;
+  if (__builtin_mul_overflow(x, y, &xy) || __builtin_mul_overflow(xy, z, &xyz))
+    return -1;
+  return xyz;
+}
+
 bool fail(std::string* error, const char* why) {
   if (error) *error = why;
   return false;
@@ -297,9 +306,12 @@ bool decode_submit(const std::vector<std::uint8_t>& payload, SubmitFrame* out,
   out->return_solution = (flags & 1) != 0;
   if (gx <= 0 || gy <= 0 || gz <= 0 || rx <= 0 || ry <= 0 || rz <= 0)
     return fail(error, "non-positive extent or rank grid");
+  const std::int64_t extent_volume = checked_volume(gx, gy, gz);
+  if (extent_volume < 0) return fail(error, "global extent volume overflows");
+  if (checked_volume(rx, ry, rz) < 0)
+    return fail(error, "rank grid volume overflows");
   if (out->operator_id.empty()) return fail(error, "empty operator id");
-  if (out->rhs_samples.size() !=
-      static_cast<std::size_t>(out->global_extent.volume()))
+  if (out->rhs_samples.size() != static_cast<std::size_t>(extent_volume))
     return fail(error, "rhs sample count does not match global extent");
   for (const real_t v : out->rhs_samples) {
     // A non-finite sample would poison every cell of the solve.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 
+#include "batch/batched_kernels.hpp"
 #include "brick/brick_plan.hpp"
 #include "check/shadow.hpp"
 #include "exec/runtime.hpp"
@@ -115,6 +116,10 @@ void smooth_residual_restrict(BrickedArray& x, BrickedArray& r,
                               BrickedArray& coarse_b, const BrickedArray& Ax,
                               const BrickedArray& b, real_t gamma,
                               const Box& active) {
+  if (x.components() > 1)
+    return batch::smooth_residual_restrict(
+        batch::view(x), batch::view(r), batch::view(coarse_b),
+        batch::view(Ax), batch::view(b), gamma, active);
   require_descent_args(r, coarse_b, active);
   trace::TraceSpan span("kernel.smoothResidualRestrict");
   count_flops(box_points(active), 4);
@@ -157,6 +162,10 @@ void smooth_residual_restrict_varcoef(BrickedArray& x, BrickedArray& r,
                                       const BrickedArray& b,
                                       const BrickedArray& diag, real_t omega,
                                       const Box& active) {
+  if (x.components() > 1)
+    return batch::smooth_residual_restrict_varcoef(
+        batch::view(x), batch::view(r), batch::view(coarse_b),
+        batch::view(Ax), batch::view(b), diag, omega, active);
   require_descent_args(r, coarse_b, active);
   trace::TraceSpan span("kernel.smoothResidualRestrictVarCoef");
   count_flops(box_points(active), 6);
@@ -192,6 +201,9 @@ void smooth_residual_restrict_varcoef(BrickedArray& x, BrickedArray& r,
 
 void residual_restrict(BrickedArray& r, BrickedArray& coarse_b,
                        const BrickedArray& b, const BrickedArray& Ax) {
+  if (r.components() > 1)
+    return batch::residual_restrict(batch::view(r), batch::view(coarse_b),
+                                    batch::view(b), batch::view(Ax));
   const Vec3 fe = r.extent(), ce = coarse_b.extent();
   GMG_REQUIRE(fe.x == 2 * ce.x && fe.y == 2 * ce.y && fe.z == 2 * ce.z,
               "fine extent must be twice the coarse extent");
@@ -273,6 +285,17 @@ real_t residual_max_norm(BrickedArray& r, const BrickedArray& b,
         });
   });
   return m;
+}
+
+void residual_max_norms(BrickedArray& r, const BrickedArray& b,
+                        const BrickedArray& Ax, real_t* out) {
+  if (r.components() == 1) {
+    out[0] = residual_max_norm(r, b, Ax);
+    return;
+  }
+  const Vec3 e = r.extent();
+  residual(r, b, Ax, Box::from_extent({e.x / r.components(), e.y, e.z}));
+  for (int c = 0; c < r.components(); ++c) out[c] = max_norm(r, c);
 }
 
 }  // namespace gmg::fused

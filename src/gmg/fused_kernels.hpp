@@ -88,6 +88,14 @@ void residual_restrict(BrickedArray& r, BrickedArray& coarse_b,
 real_t residual_max_norm(BrickedArray& r, const BrickedArray& b,
                          const BrickedArray& Ax);
 
+/// The convergence check per right-hand side: out[c] = local max|r_c|
+/// for each of r's K components. A plain field runs the fused kernel
+/// above. A K-wide one runs residual() and K strided max-norms, which
+/// give the same values; the per-component reductions do not share
+/// one pass.
+void residual_max_norms(BrickedArray& r, const BrickedArray& b,
+                        const BrickedArray& Ax, real_t* out);
+
 // Static effect summaries (check/effects.hpp, DESIGN.md §18): the
 // fused stages' write sets are the union of the split kernels they
 // replace, with `coarse` bound to the coarse-level RHS the restriction

@@ -2,6 +2,7 @@
 
 #include <array>
 
+#include "batch/apply_batch.hpp"
 #include "dsl/apply_brick.hpp"
 #include "dsl/generated/laplacian_7pt_gen.hpp"
 #include "dsl/generated/star_13pt_gen.hpp"
@@ -77,7 +78,11 @@ void resolve_level_kernels(const GmgOptions& opts, MgLevel& lev) {
                      const Box& active) {
       const auto expr = dsl::star_stencil<2, 0>(
           std::array<real_t, 3>{L->alpha, L->beta, L->beta2});
-      dsl::apply(expr, out, active, in);
+      if (out.components() > 1) {
+        batch::apply(expr, batch::view(out), active, batch::view(in));
+      } else {
+        dsl::apply(expr, out, active, in);
+      }
     };
   }
 
@@ -114,8 +119,8 @@ void resolve_level_kernels(const GmgOptions& opts, MgLevel& lev) {
   plan.residual_restrict = [L](BrickedArray& coarse_b) {
     fused::residual_restrict(L->r, coarse_b, L->b, L->Ax);
   };
-  plan.residual_max_norm = [L]() {
-    return fused::residual_max_norm(L->r, L->b, L->Ax);
+  plan.residual_max_norms = [L](real_t* out) {
+    fused::residual_max_norms(L->r, L->b, L->Ax, out);
   };
 
   lev.plan = std::move(plan);

@@ -20,6 +20,10 @@
 // Fused results are bitwise identical to the split path (the kernels
 // replicate the split per-element arithmetic verbatim; see
 // fused_kernels.hpp).
+//
+// The bindings serve fields of any width K: the kernels they call pick
+// their K-inner twin from the field's layout (operators.hpp), so one
+// plan per level covers every batch width.
 #pragma once
 
 #include <functional>
@@ -82,8 +86,9 @@ struct KernelPlan {
       smooth_residual_restrict;
   /// Fused GS tail: r = b - Ax + restriction, one pass per fine brick.
   std::function<void(BrickedArray& coarse_b)> residual_restrict;
-  /// Fused convergence check: r = b - Ax and local max|r| in one pass.
-  std::function<real_t()> residual_max_norm;
+  /// Fused convergence check: r = b - Ax and each component's local
+  /// max|r_c| into out[c] (one pass at K = 1).
+  std::function<void(real_t* out)> residual_max_norms;
 };
 
 /// Resolve the kernel bindings and fusion predicate for one level.

@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 
+#include "batch/batched_kernels.hpp"
 #include "brick/brick_mask.hpp"
 #include "brick/brick_plan.hpp"
 #include "check/shadow.hpp"
@@ -180,6 +181,9 @@ void apply_op_7pt(BD, BrickedArray& Ax, const BrickedArray& x, real_t alpha,
 
 void apply_op(BrickedArray& Ax, const BrickedArray& x, real_t alpha,
               real_t beta, const Box& active) {
+  if (Ax.components() > 1)
+    return batch::apply_op(batch::view(Ax), batch::view(x), alpha, beta,
+                           active);
   // 7-point star: 2 multiplies + 6 adds per output cell.
   trace::TraceSpan span("kernel.applyOp");
   count_flops(box_points(active), 8);
@@ -208,6 +212,9 @@ void apply_op(BrickedArray& Ax, const BrickedArray& x, real_t alpha,
 
 void smooth(BrickedArray& x, const BrickedArray& Ax, const BrickedArray& b,
             real_t gamma, const Box& active) {
+  if (x.components() > 1)
+    return batch::smooth(batch::view(x), batch::view(Ax), batch::view(b),
+                         gamma, active);
   trace::TraceSpan span("kernel.smooth");
   count_flops(box_points(active), 3);
   const auto scope = check::scope_if_enabled(
@@ -228,6 +235,10 @@ void smooth(BrickedArray& x, const BrickedArray& Ax, const BrickedArray& b,
 
 void smooth_residual(BrickedArray& x, BrickedArray& r, const BrickedArray& Ax,
                      const BrickedArray& b, real_t gamma, const Box& active) {
+  if (x.components() > 1)
+    return batch::smooth_residual(batch::view(x), batch::view(r),
+                                  batch::view(Ax), batch::view(b), gamma,
+                                  active);
   trace::TraceSpan span("kernel.smoothResidual");
   count_flops(box_points(active), 4);
   const auto scope = check::scope_if_enabled(
@@ -253,6 +264,9 @@ void smooth_residual(BrickedArray& x, BrickedArray& r, const BrickedArray& Ax,
 
 void residual(BrickedArray& r, const BrickedArray& b, const BrickedArray& Ax,
               const Box& active) {
+  if (r.components() > 1)
+    return batch::residual(batch::view(r), batch::view(b), batch::view(Ax),
+                           active);
   trace::TraceSpan span("kernel.residual");
   count_flops(box_points(active), 1);
   const auto scope = check::scope_if_enabled(
@@ -295,6 +309,8 @@ void residual(BrickedArray& r, const BrickedArray& b, const BrickedArray& Ax,
 }
 
 void restriction(BrickedArray& coarse, const BrickedArray& fine) {
+  if (coarse.components() > 1)
+    return batch::restriction(batch::view(coarse), batch::view(fine));
   const Vec3 fe = fine.extent(), ce = coarse.extent();
   GMG_REQUIRE(fe.x == 2 * ce.x && fe.y == 2 * ce.y && fe.z == 2 * ce.z,
               "fine extent must be twice the coarse extent");
@@ -353,6 +369,9 @@ void restriction(BrickedArray& coarse, const BrickedArray& fine) {
 }
 
 void interpolation_increment(BrickedArray& fine, const BrickedArray& coarse) {
+  if (fine.components() > 1)
+    return batch::interpolation_increment(batch::view(fine),
+                                          batch::view(coarse));
   const Vec3 fe = fine.extent(), ce = coarse.extent();
   GMG_REQUIRE(fe.x == 2 * ce.x && fe.y == 2 * ce.y && fe.z == 2 * ce.z,
               "fine extent must be twice the coarse extent");
@@ -400,6 +419,9 @@ void interpolation_increment(BrickedArray& fine, const BrickedArray& coarse) {
 
 void gs_color_sweep(BrickedArray& x, const BrickedArray& b, real_t alpha,
                     real_t beta, int color, Vec3 origin, const Box& active) {
+  if (x.components() > 1)
+    return batch::gs_color_sweep(batch::view(x), batch::view(b), alpha, beta,
+                                 color, origin, active);
   GMG_REQUIRE(color == 0 || color == 1, "color must be 0 (red) or 1 (black)");
   // One checkerboard color updates half the cells; ~9 flops each
   // (6 adds, 1 multiply, 1 subtract, 1 divide).
@@ -600,6 +622,8 @@ void copy_interior(BrickedArray& dst, const BrickedArray& src) {
 
 void axpy(BrickedArray& y, real_t alpha, const BrickedArray& x,
           const Box& active) {
+  if (y.components() > 1)
+    return batch::axpy(batch::view(y), alpha, batch::view(x), active);
   const auto scope = check::scope_if_enabled("kernel.axpyActive",
                                              {check::access(y, active)});
   with_brick_dims(y.shape(), [&](auto bd) {
@@ -617,6 +641,9 @@ void axpy(BrickedArray& y, real_t alpha, const BrickedArray& x,
 
 void cheby_p_update(BrickedArray& p, const BrickedArray& r, real_t inv_diag,
                     real_t beta, const Box& active) {
+  if (p.components() > 1)
+    return batch::cheby_p_update(batch::view(p), batch::view(r), inv_diag,
+                                 beta, active);
   const auto scope = check::scope_if_enabled("kernel.chebyP",
                                              {check::access(p, active)});
   with_brick_dims(p.shape(), [&](auto bd) {
@@ -746,6 +773,35 @@ real_t max_norm(const BrickedArray& a) {
         });
   });
   return m;
+}
+
+real_t max_norm(const BrickedArray& a, int c) {
+  if (a.components() > 1) return batch::max_norm(batch::view(a), c);
+  GMG_ASSERT(c == 0);
+  return max_norm(a);
+}
+
+real_t dot_interior(const BrickedArray& a, const BrickedArray& b, int c) {
+  if (a.components() > 1)
+    return batch::dot_interior(batch::view(a), batch::view(b), c);
+  GMG_ASSERT(c == 0);
+  return dot_interior(a, b);
+}
+
+void axpy_interior(BrickedArray& y, real_t alpha, const BrickedArray& x,
+                   int c) {
+  if (y.components() > 1)
+    return batch::axpy_interior(batch::view(y), alpha, batch::view(x), c);
+  GMG_ASSERT(c == 0);
+  axpy_interior(y, alpha, x);
+}
+
+void xpay_interior(BrickedArray& y, const BrickedArray& x, real_t beta,
+                   int c) {
+  if (y.components() > 1)
+    return batch::xpay_interior(batch::view(y), batch::view(x), beta, c);
+  GMG_ASSERT(c == 0);
+  xpay_interior(y, x, beta);
 }
 
 }  // namespace gmg

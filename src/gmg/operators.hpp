@@ -9,6 +9,11 @@
 // Every cell-space operator takes an *active region* that may extend
 // into the ghost bricks; the communication-avoiding scheduler (see
 // vcycle.hpp) shrinks it by one cell per sweep between exchanges.
+//
+// The V-cycle kernels accept K-wide fields (components() > 1, DESIGN.md
+// §15) and hand them to their K-inner twins in src/batch, so the
+// multigrid schedule is the same code for any number of right-hand
+// sides. A plain field runs the kernel body below unchanged.
 #pragma once
 
 #include "brick/bricked_array.hpp"
@@ -103,14 +108,24 @@ void cheby_p_update(BrickedArray& p, const BrickedArray& r, real_t inv_diag,
 void gs_color_sweep(BrickedArray& x, const BrickedArray& b, real_t alpha,
                     real_t beta, int color, Vec3 origin, const Box& active);
 
+// Per-component forms (the bottom CG and the per-right-hand-side
+// convergence norms): component c of a K-wide field only. On a plain
+// field c is 0 and each is exactly the kernel above.
+real_t max_norm(const BrickedArray& a, int c);
+real_t dot_interior(const BrickedArray& a, const BrickedArray& b, int c);
+void axpy_interior(BrickedArray& y, real_t alpha, const BrickedArray& x,
+                   int c);
+void xpay_interior(BrickedArray& y, const BrickedArray& x, real_t beta,
+                   int c);
+
 namespace detail {
 
-// Per-chunk reduction bodies, shared between the solo reductions above
-// and the per-component batched reductions (src/batch). noinline so
-// both callers run the exact same compiled loop — hand a batched
+// Per-chunk reduction bodies. dot_range is shared between
+// dot_interior and the per-component K-wide dot (src/batch); noinline
+// so both callers run the exact same compiled loop — hand a
 // component's gathered chunk to the same function over the same chunk
 // plan and the partial sums (and therefore the fixed reduction tree)
-// are bitwise identical to solo.
+// are bitwise identical to a one-component field.
 [[gnu::noinline]] real_t sum_sq_range(const real_t* p, std::int64_t n);
 [[gnu::noinline]] real_t dot_range(const real_t* a, const real_t* b,
                                    std::int64_t n);

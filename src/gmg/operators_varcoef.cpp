@@ -1,5 +1,6 @@
 #include "gmg/operators_varcoef.hpp"
 
+#include "batch/batched_kernels.hpp"
 #include "brick/brick_plan.hpp"
 #include "check/shadow.hpp"
 #include "dsl/apply_brick.hpp"
@@ -46,6 +47,9 @@ void for_each_row_vc(BD, const char* name, const BrickGrid& grid,
 void apply_op_varcoef(BrickedArray& Ax, const BrickedArray& x,
                       const BrickedArray& beta, real_t identity_coef,
                       real_t h, const Box& active) {
+  if (Ax.components() > 1)
+    return batch::apply_op_varcoef(batch::view(Ax), batch::view(x), beta,
+                                   identity_coef, h, active);
   // Six face fluxes: 2 adds + 1 sub + 1 mul each, plus the identity
   // term and flux sum — ~26 flops per output cell.
   trace::TraceSpan span("kernel.applyOpVarCoef");
@@ -68,6 +72,10 @@ void smooth_residual_varcoef(BrickedArray& x, BrickedArray& r,
                              const BrickedArray& Ax, const BrickedArray& b,
                              const BrickedArray& diag, real_t omega,
                              const Box& active) {
+  if (x.components() > 1)
+    return batch::smooth_residual_varcoef(batch::view(x), batch::view(r),
+                                          batch::view(Ax), batch::view(b),
+                                          diag, omega, active);
   trace::TraceSpan span("kernel.smoothResidualVarCoef");
   count_flops_vc(active, 6);
   const auto scope = check::scope_if_enabled(
@@ -95,6 +103,9 @@ void smooth_residual_varcoef(BrickedArray& x, BrickedArray& r,
 void smooth_varcoef(BrickedArray& x, const BrickedArray& Ax,
                     const BrickedArray& b, const BrickedArray& diag,
                     real_t omega, const Box& active) {
+  if (x.components() > 1)
+    return batch::smooth_varcoef(batch::view(x), batch::view(Ax),
+                                 batch::view(b), diag, omega, active);
   trace::TraceSpan span("kernel.smoothVarCoef");
   count_flops_vc(active, 5);
   const auto scope = check::scope_if_enabled(
@@ -118,6 +129,9 @@ void smooth_varcoef(BrickedArray& x, const BrickedArray& Ax,
 void cheby_p_update_varcoef(BrickedArray& p, const BrickedArray& r,
                             const BrickedArray& diag, real_t beta_ch,
                             const Box& active) {
+  if (p.components() > 1)
+    return batch::cheby_p_update_varcoef(batch::view(p), batch::view(r), diag,
+                                         beta_ch, active);
   const auto scope = check::scope_if_enabled(
       "kernel.chebyPVarCoef", {check::access(p, active)});
   with_brick_dims(p.shape(), [&](auto bd) {

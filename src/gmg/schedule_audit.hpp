@@ -42,13 +42,10 @@ class ScheduleWalker {
   /// init_zero/copy steps and resets the walker's fine margin.
   void reset_fine_for_correction(const std::string& rhs_field);
 
-  /// Batch width K: bottom-CG collectives record every component
-  /// (unconditional across the batch — retirement-exempt), while
-  /// residual_norm's per-component norms follow the retirement-masked
-  /// active list. Solo default: K = 1, active = {0}.
-  void set_num_components(int k) { num_components_ = k; }
   /// The components residual_norm's retirement-masked reductions
-  /// cover; the batched audit shrinks this after recording a retire.
+  /// cover (initially all K = s.batch(); record_solver_schedule
+  /// shrinks it after recording a retirement). Bottom-CG collectives
+  /// always record every component: retirement never masks them.
   void set_active_components(std::vector<int> comps) {
     active_components_ = std::move(comps);
   }
@@ -102,21 +99,25 @@ class ScheduleWalker {
   const GmgSolver& s_;
   std::vector<LevState> st_;
   int num_components_ = 1;
-  std::vector<int> active_components_{0};
+  std::vector<int> active_components_;
 };
 
 /// Record the planned schedule of `cycles` V-cycles (with the
 /// interleaved convergence checks solve() issues) from the canonical
-/// post-set_rhs state.
+/// post-set_rhs state, at the solver's width K = s.batch(). When K > 1
+/// component 0 retires after the first cycle: the representative
+/// retirement that proves a shrinking active set can never reorder or
+/// resurrect a collective.
 check::Schedule record_solver_schedule(const GmgSolver& s, int cycles = 2);
 
 /// Record the planned FMG schedule.
 check::Schedule record_fmg_schedule(const GmgSolver& s);
 
-/// Record and statically verify both schedules; throws gmg::Error with
-/// the offending kernel pair on the first hazard. Called from the
-/// GmgSolver constructor (and again after set_coefficient rebinds the
-/// kernel plans) when check::verify_schedule_enabled().
+/// Record and statically verify both schedules (FMG only at K = 1, the
+/// only width it runs at); throws gmg::Error with the offending kernel
+/// pair on the first hazard. The solver runs it before the first solve
+/// at each width, and again after set_coefficient rebinds the kernel
+/// plans, when check::verify_schedule_enabled().
 void verify_solver_schedule(const GmgSolver& s);
 
 }  // namespace gmg

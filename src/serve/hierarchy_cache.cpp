@@ -7,7 +7,7 @@
 namespace gmg::serve {
 
 std::unique_ptr<CachedHierarchy> HierarchyCache::acquire(
-    const std::string& key) {
+    const std::string& key, int k) {
   std::unique_ptr<CachedHierarchy> entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -26,7 +26,7 @@ std::unique_ptr<CachedHierarchy> HierarchyCache::acquire(
   // Attach outside the lock: zeroing the fields is real work and other
   // executors must be able to hit the cache meanwhile.
   trace::TraceSpan span("serve.cache_attach");
-  for (auto& s : entry->solvers) s->attach_field_storage(*arena_);
+  for (auto& s : entry->solvers) s->attach_field_storage(*arena_, k);
   return entry;
 }
 

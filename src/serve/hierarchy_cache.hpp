@@ -15,13 +15,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "batch/batched_solver.hpp"
 #include "brick/brick_arena.hpp"
 #include "gmg/solver.hpp"
 #include "mesh/decomposition.hpp"
@@ -34,18 +32,10 @@ struct CachedHierarchy {
   std::string key;
   CartDecomp decomp;
   GmgOptions options;
-  /// One solver per rank of `decomp`, index == rank.
+  /// One solver per rank of `decomp`, index == rank. Each serves
+  /// requests of any batch width; the stretched exchange engines of
+  /// the widths it has run stay cached on its levels.
   std::vector<std::unique_ptr<GmgSolver>> solvers;
-  /// Batched (multi-RHS) twins keyed by batch size K, one per rank,
-  /// built lazily on the first K-way coalesced batch and reused for
-  /// the hierarchy's lifetime — a batched solver's construction
-  /// (stretched exchanges, K-wide fields) is per-shape setup, exactly
-  /// what this cache exists to amortize. Their storage stays attached
-  /// while the entry is idle: a memory-for-latency trade scoped to
-  /// operators that opted into batching (GmgOptions::max_batch > 1).
-  /// Declared after `solvers`: each BatchedSolver references its base
-  /// GmgSolver and must be destroyed first.
-  std::map<int, std::vector<std::unique_ptr<batch::BatchedSolver>>> batched;
   /// Variable-coefficient operators evaluate their coefficient once
   /// per hierarchy (it is keyed state, like the stencil).
   bool coefficient_set = false;
@@ -65,9 +55,10 @@ class HierarchyCache {
   HierarchyCache& operator=(const HierarchyCache&) = delete;
 
   /// Check out the entry for `key` with its field storage re-attached
-  /// (a *hit*), or nullptr when none is idle under that key (a *miss*
-  /// — the caller builds the hierarchy and later release()s it).
-  std::unique_ptr<CachedHierarchy> acquire(const std::string& key);
+  /// at width `k` (a *hit*), or nullptr when none is idle under that
+  /// key (a *miss* — the caller builds the hierarchy and later
+  /// release()s it).
+  std::unique_ptr<CachedHierarchy> acquire(const std::string& key, int k);
 
   /// Return a checked-out (or freshly built) entry: field storage is
   /// detached into the arena and the entry becomes acquirable again.

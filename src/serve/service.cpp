@@ -5,7 +5,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "batch/batched_solver.hpp"
 #include "check/schedule.hpp"
 #include "trace/trace.hpp"
 
@@ -202,11 +201,7 @@ void SolveService::executor_loop() {
     }
     trace::counter_add("serve.dequeued", group.size());
     space_cv_.notify_all();
-    if (group.size() == 1) {
-      execute(group.front());
-    } else {
-      execute_batch(std::move(group));
-    }
+    execute(std::move(group));
   }
 }
 
@@ -220,7 +215,7 @@ void SolveService::gather_batch(
   if (it == operators_.end()) return;
   const std::size_t max_batch =
       static_cast<std::size_t>(std::max(1, it->second.options.max_batch));
-  // The batched solver runs the interpreted kernels only.
+  // K-wide solves run the interpreted kernels only.
   if (max_batch <= 1 || it->second.options.use_generated_kernels) return;
 
   // Compatible = same hierarchy_key. Requests share the operator-id's
@@ -268,120 +263,13 @@ void SolveService::gather_batch(
   }
 }
 
-void SolveService::execute(const std::shared_ptr<detail::RequestState>& rs) {
-  trace::TraceSpan request_span("serve.request", trace::Category::kOther);
-  const std::uint64_t start_ns = trace::now_ns();
-  rs->result.queue_seconds =
-      static_cast<double>(start_ns - rs->submit_ns) * 1e-9;
-
-  if (rs->control.cancel.load(std::memory_order_relaxed)) {
-    complete(rs, RequestStatus::kCancelled);
-    return;
-  }
-  if (rs->deadline_ns != 0 && start_ns >= rs->deadline_ns) {
-    complete(rs, RequestStatus::kExpired);
-    return;
-  }
-
-  OperatorSpec spec;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = operators_.find(rs->req.operator_id);
-    if (it != operators_.end()) {
-      spec = it->second;
-    } else {
-      rs->result.error = "unknown operator id: " + rs->req.operator_id;
-    }
-  }
-  if (!rs->result.error.empty()) {
-    complete(rs, RequestStatus::kFailed);
-    return;
-  }
-
-  const std::string key =
-      hierarchy_key(rs->req.domain, rs->req.operator_id, spec.options);
-  const int nranks = rs->req.domain.ranks();
-
-  std::unique_ptr<CachedHierarchy> entry;
-  try {
-    entry = cache_.acquire(key);
-    rs->result.cache_hit = entry != nullptr;
-    if (!entry) {
-      trace::counter_add("serve.cache_misses", 1);
-      trace::TraceSpan setup_span("serve.setup");
-      const CartDecomp decomp(rs->req.domain.global_extent,
-                              rs->req.domain.rank_grid);
-      entry = std::make_unique<CachedHierarchy>(key, decomp, spec.options);
-      entry->solvers.reserve(static_cast<std::size_t>(nranks));
-      for (int r = 0; r < nranks; ++r) {
-        entry->solvers.push_back(
-            std::make_unique<GmgSolver>(spec.options, decomp, r));
-      }
-      rs->result.setup_seconds = setup_span.elapsed();
-    } else {
-      trace::counter_add("serve.cache_hits", 1);
-    }
-
-    const bool needs_coefficient =
-        spec.coefficient != nullptr && !entry->coefficient_set;
-    std::vector<SolveResult> per_rank(static_cast<std::size_t>(nranks));
-    {
-      trace::TraceSpan solve_span("serve.solve");
-      comm::World world(nranks);
-      world.run([&](comm::Communicator& c) {
-        GmgSolver& s = *entry->solvers[static_cast<std::size_t>(c.rank())];
-        s.set_solve_params(rs->req.tolerance, rs->req.max_vcycles);
-        if (needs_coefficient) s.set_coefficient(c, spec.coefficient);
-        s.set_rhs(rs->req.rhs);
-        per_rank[static_cast<std::size_t>(c.rank())] =
-            s.solve(c, &rs->control);
-      });
-      rs->result.solve_seconds = solve_span.elapsed();
-    }
-    if (needs_coefficient) entry->coefficient_set = true;
-
-    rs->result.solve = per_rank.front();
-    if (rs->req.return_solution && !rs->result.solve.cancelled) {
-      const Vec3 g = rs->req.domain.global_extent;
-      rs->result.solution.reserve(
-          static_cast<std::size_t>(g.x) * static_cast<std::size_t>(g.y) *
-          static_cast<std::size_t>(g.z));
-      for (int r = 0; r < nranks; ++r) {
-        const BrickedArray& x = entry->solvers[static_cast<std::size_t>(r)]
-                                    ->solution();
-        for_each(Box::from_extent(x.extent()),
-                 [&](index_t i, index_t j, index_t k) {
-                   rs->result.solution.push_back(x(i, j, k));
-                 });
-      }
-    }
-    cache_.release(std::move(entry));
-  } catch (const std::exception& e) {
-    rs->result.error = e.what();
-    // The hierarchy may be mid-mutation — drop it rather than cache a
-    // possibly inconsistent entry (its detached pages, if any, are
-    // already pooled).
-    entry.reset();
-    complete(rs, RequestStatus::kFailed);
-    return;
-  }
-
-  if (rs->result.solve.cancelled) {
-    complete(rs, rs->control.cancel.load(std::memory_order_relaxed)
-                     ? RequestStatus::kCancelled
-                     : RequestStatus::kExpired);
-  } else {
-    complete(rs, RequestStatus::kDone);
-  }
-}
-
-void SolveService::execute_batch(
+void SolveService::execute(
     std::vector<std::shared_ptr<detail::RequestState>> group) {
-  trace::TraceSpan request_span("serve.batch", trace::Category::kOther);
+  trace::TraceSpan request_span("serve.request", trace::Category::kOther);
   const std::uint64_t start_ns = trace::now_ns();
 
   // Per-member admission checks; members that died in the queue drop
-  // out of the batch individually.
+  // out of the group individually.
   std::vector<std::shared_ptr<detail::RequestState>> live;
   live.reserve(group.size());
   for (auto& rs : group) {
@@ -396,18 +284,14 @@ void SolveService::execute_batch(
     }
   }
   if (live.empty()) return;
-  if (live.size() == 1) {
-    execute(live.front());
-    return;
-  }
 
-  const auto& lead = live.front();
   const auto fail_all = [&](const std::string& error) {
     for (auto& rs : live) {
       rs->result.error = error;
       complete(rs, RequestStatus::kFailed);
     }
   };
+  const auto& lead = live.front();
   OperatorSpec spec;
   bool found = false;
   {
@@ -426,11 +310,13 @@ void SolveService::execute_batch(
   const std::string key =
       hierarchy_key(lead->req.domain, lead->req.operator_id, spec.options);
   const int nranks = lead->req.domain.ranks();
+  // One K-wide solve carries the whole group: K right-hand sides with
+  // per-component tolerance, cycle budget and cancel/deadline.
   const int k = static_cast<int>(live.size());
 
   std::unique_ptr<CachedHierarchy> entry;
   try {
-    entry = cache_.acquire(key);
+    entry = cache_.acquire(key, k);
     const bool cache_hit = entry != nullptr;
     double setup_seconds = 0;
     if (!entry) {
@@ -451,24 +337,18 @@ void SolveService::execute_batch(
 
     const bool needs_coefficient =
         spec.coefficient != nullptr && !entry->coefficient_set;
-
-    std::vector<std::function<real_t(real_t, real_t, real_t)>> rhs;
-    std::vector<batch::BatchSolveSpec> specs;
+    std::vector<RhsFunction> rhs;
+    std::vector<SolveSpec> specs;
     rhs.reserve(live.size());
     specs.reserve(live.size());
     for (const auto& rs : live) {
       rhs.push_back(rs->req.rhs);
-      specs.push_back(batch::BatchSolveSpec{rs->req.tolerance,
-                                            rs->req.max_vcycles,
-                                            &rs->control});
+      specs.push_back(
+          SolveSpec{rs->req.tolerance, rs->req.max_vcycles, &rs->control});
     }
 
     std::vector<std::vector<SolveResult>> per_rank(
         static_cast<std::size_t>(nranks));
-    std::vector<std::vector<std::vector<real_t>>> per_rank_solution(
-        static_cast<std::size_t>(nranks));
-    auto& batched = entry->batched[k];
-    if (batched.empty()) batched.resize(static_cast<std::size_t>(nranks));
     double solve_seconds = 0;
     {
       trace::TraceSpan solve_span("serve.solve");
@@ -477,61 +357,58 @@ void SolveService::execute_batch(
         const std::size_t r = static_cast<std::size_t>(c.rank());
         GmgSolver& s = *entry->solvers[r];
         if (needs_coefficient) s.set_coefficient(c, spec.coefficient);
-        if (!batched[r]) {
-          batched[r] = std::make_unique<batch::BatchedSolver>(s, k, &arena_);
-        }
-        batch::BatchedSolver& bs = *batched[r];
-        bs.set_rhs(rhs);
-        per_rank[r] = bs.solve(c, specs);
-        per_rank_solution[r].reserve(static_cast<std::size_t>(k));
-        for (int c2 = 0; c2 < k; ++c2) {
-          per_rank_solution[r].push_back(bs.solution(c2));
-        }
+        s.attach_field_storage(arena_, k);  // no-op on a cache hit
+        s.set_rhs(rhs);
+        per_rank[r] = s.solve(c, specs);
       });
       solve_seconds = solve_span.elapsed();
     }
     if (needs_coefficient) entry->coefficient_set = true;
-    cache_.release(std::move(entry));
 
+    for (std::size_t c = 0; c < live.size(); ++c) {
+      RequestResult& out = live[c]->result;
+      out.cache_hit = cache_hit;
+      out.setup_seconds = setup_seconds;
+      out.solve_seconds = solve_seconds;
+      out.solve = per_rank.front()[c];
+      if (live[c]->req.return_solution && !out.solve.cancelled) {
+        const Vec3 g = live[c]->req.domain.global_extent;
+        out.solution.reserve(static_cast<std::size_t>(g.x) *
+                             static_cast<std::size_t>(g.y) *
+                             static_cast<std::size_t>(g.z));
+        for (const auto& s : entry->solvers) {
+          const std::vector<real_t> sol = s->solution(static_cast<int>(c));
+          out.solution.insert(out.solution.end(), sol.begin(), sol.end());
+        }
+      }
+    }
+    cache_.release(std::move(entry));
+  } catch (const std::exception& e) {
+    // The hierarchy may be mid-mutation — drop it rather than cache a
+    // possibly inconsistent entry (its detached pages, if any, are
+    // already pooled).
+    entry.reset();
+    fail_all(e.what());
+    return;
+  }
+
+  if (k > 1) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       batch_solves_ += 1;
       batch_requests_ += static_cast<std::uint64_t>(k);
     }
     trace::counter_add("serve.batch_solves", 1);
-    trace::counter_add("serve.batch_requests",
-                       static_cast<std::uint64_t>(k));
-
-    for (int c = 0; c < k; ++c) {
-      auto& rs = live[static_cast<std::size_t>(c)];
-      rs->result.cache_hit = cache_hit;
-      rs->result.setup_seconds = setup_seconds;
-      rs->result.solve_seconds = solve_seconds;
-      rs->result.solve = per_rank.front()[static_cast<std::size_t>(c)];
-      if (rs->req.return_solution && !rs->result.solve.cancelled) {
-        const Vec3 g = rs->req.domain.global_extent;
-        rs->result.solution.reserve(
-            static_cast<std::size_t>(g.x) * static_cast<std::size_t>(g.y) *
-            static_cast<std::size_t>(g.z));
-        for (int r = 0; r < nranks; ++r) {
-          const auto& sol =
-              per_rank_solution[static_cast<std::size_t>(r)]
-                               [static_cast<std::size_t>(c)];
-          rs->result.solution.insert(rs->result.solution.end(), sol.begin(),
-                                     sol.end());
-        }
-      }
-      if (rs->result.solve.cancelled) {
-        complete(rs, rs->control.cancel.load(std::memory_order_relaxed)
-                         ? RequestStatus::kCancelled
-                         : RequestStatus::kExpired);
-      } else {
-        complete(rs, RequestStatus::kDone);
-      }
+    trace::counter_add("serve.batch_requests", static_cast<std::uint64_t>(k));
+  }
+  for (auto& rs : live) {
+    if (rs->result.solve.cancelled) {
+      complete(rs, rs->control.cancel.load(std::memory_order_relaxed)
+                       ? RequestStatus::kCancelled
+                       : RequestStatus::kExpired);
+    } else {
+      complete(rs, RequestStatus::kDone);
     }
-  } catch (const std::exception& e) {
-    entry.reset();
-    fail_all(e.what());
   }
 }
 

@@ -169,13 +169,14 @@ struct ServiceStats {
   /// Admitted but not yet complete (queued + executing).
   std::size_t inflight = 0;
   double cache_hit_ratio = 0;
-  /// Coalescer tallies: batched solve invocations (K >= 2) and the
+  /// Coalescer tallies: K-wide solve invocations with K >= 2 and the
   /// requests they carried. requests/solves = mean batch occupancy.
   std::uint64_t batch_solves = 0;
   std::uint64_t batch_requests = 0;
   /// Process-wide count of schedules proven clean at setup
-  /// (GMG_VERIFY_SCHEDULE): every hierarchy the cache built — solo,
-  /// batched, composite — was statically verified this many times.
+  /// (GMG_VERIFY_SCHEDULE): every hierarchy the cache built, at each
+  /// batch width it ran, and every composite was statically verified
+  /// this many times.
   std::uint64_t schedules_verified = 0;
 };
 
@@ -256,16 +257,15 @@ class SolveService {
   void executor_loop();
   /// Coalescer (DESIGN.md §15): with mu_ held and `group` holding one
   /// just-popped leader, pull queued requests that can ride the same
-  /// batched solve (same operator, domain, decomposition — i.e. the
+  /// K-wide solve (same operator, domain, decomposition — i.e. the
   /// same hierarchy_key; tolerance/deadline stay per-component) up to
   /// the operator's max_batch, holding briefly for stragglers when the
   /// arrival rate warrants it.
   void gather_batch(std::unique_lock<std::mutex>& lock,
                     std::vector<std::shared_ptr<detail::RequestState>>& group);
-  void execute(const std::shared_ptr<detail::RequestState>& rs);
-  /// Run >= 2 coalesced requests as one K-way batched solve.
-  void execute_batch(
-      std::vector<std::shared_ptr<detail::RequestState>> group);
+  /// Run a coalesced group of K >= 1 requests as one K-wide solve on
+  /// their cached hierarchy.
+  void execute(std::vector<std::shared_ptr<detail::RequestState>> group);
   void complete(const std::shared_ptr<detail::RequestState>& rs,
                 RequestStatus status);
 

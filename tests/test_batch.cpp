@@ -1,19 +1,19 @@
-// src/batch: K-way batched solves must be BITWISE identical to K solo
-// GmgSolver runs — same iterates, same residual histories, same cycle
-// counts — across every smoother, with and without communication
-// avoidance, fused and split descent stages, and the
-// variable-coefficient operator. Plus the
-// per-component retirement machinery (tolerance, cycle budget, cancel)
-// and the one-stretched-exchange-round-per-sweep property the AoSoA
-// layout exists to buy.
+// K-wide solves: GmgSolver with K right-hand sides must be BITWISE
+// identical to K single-RHS solves — same iterates, same residual
+// histories, same cycle counts — across every smoother, with and
+// without communication avoidance, fused and split descent stages, and
+// the variable-coefficient operator. Plus the per-component retirement
+// machinery (tolerance, cycle budget, cancel), one hierarchy moving
+// between widths, and the one-stretched-exchange-round-per-sweep
+// property the K-wide layout exists to buy.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <functional>
 #include <vector>
 
-#include "batch/batched_kernels.hpp"
-#include "batch/batched_solver.hpp"
+#include "batch/batched_array.hpp"
+#include "gmg/operators.hpp"
 #include "gmg/solver.hpp"
 #include "trace/trace.hpp"
 
@@ -71,9 +71,23 @@ SoloRef run_solo(comm::Communicator& c, GmgSolver& solver, Vec3 extent,
   return ref;
 }
 
+/// Solve `fs` as one K-wide solve on `solver`, every component with
+/// the same tolerance and cycle budget.
+std::vector<SolveResult> run_wide(comm::Communicator& c, GmgSolver& solver,
+                                  const std::vector<RhsFunction>& fs,
+                                  real_t tolerance, int max_vcycles) {
+  solver.set_rhs(fs);
+  std::vector<SolveSpec> specs(fs.size());
+  for (SolveSpec& s : specs) {
+    s.tolerance = tolerance;
+    s.max_vcycles = max_vcycles;
+  }
+  return solver.solve(c, specs);
+}
+
 void expect_component_matches_solo(const SoloRef& solo,
                                    const SolveResult& got,
-                                   const batch::BatchedSolver& bs, int comp,
+                                   const GmgSolver& solver, int comp,
                                    int rank) {
   EXPECT_EQ(solo.result.vcycles, got.vcycles) << "component " << comp;
   EXPECT_EQ(solo.result.converged, got.converged) << "component " << comp;
@@ -86,7 +100,7 @@ void expect_component_matches_solo(const SoloRef& solo,
     EXPECT_EQ(solo.result.history[i], got.history[i])
         << "component " << comp << " cycle " << i;
   }
-  const std::vector<real_t>& sol = bs.solution(comp);
+  const std::vector<real_t> sol = solver.solution(comp);
   ASSERT_EQ(solo.sol.size(), sol.size()) << "component " << comp;
   int failures = 0;
   for (std::size_t i = 0; i < sol.size(); ++i) {
@@ -108,8 +122,7 @@ struct MatrixCase {
   bool varcoef;
 };
 
-std::string case_name(const ::testing::TestParamInfo<MatrixCase>& info) {
-  const MatrixCase& p = info.param;
+std::string matrix_name(const MatrixCase& p) {
   std::string s;
   switch (p.smoother) {
     case Smoother::kPointJacobi: s = "PointJacobi"; break;
@@ -123,6 +136,14 @@ std::string case_name(const ::testing::TestParamInfo<MatrixCase>& info) {
   return s;
 }
 
+// gtest prints a parameter into the ctest name; the default printer
+// dumps the struct's bytes, padding included.
+void PrintTo(const MatrixCase& p, std::ostream* os) { *os << matrix_name(p); }
+
+std::string case_name(const ::testing::TestParamInfo<MatrixCase>& info) {
+  return matrix_name(info.param);
+}
+
 class BatchedBitwise : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(BatchedBitwise, TwoWayMatchesTwoSoloSolves) {
@@ -130,8 +151,8 @@ TEST_P(BatchedBitwise, TwoWayMatchesTwoSoloSolves) {
   GmgOptions o = small_options();
   o.smoother = p.smoother;
   o.communication_avoiding = p.ca;
-  // The batched cycle takes its fused-descent plan from the solo
-  // hierarchy, so both fusion states must pair up bitwise.
+  // The K-wide cycle runs the same fused-descent plan as the solo
+  // solves, so both fusion states must pair up bitwise.
   o.fuse_stages = p.fuse;
   const CartDecomp decomp({16, 16, 16}, {2, 1, 1});
   const Vec3 sub = decomp.subdomain_extent();
@@ -142,14 +163,10 @@ TEST_P(BatchedBitwise, TwoWayMatchesTwoSoloSolves) {
     const SoloRef ra = run_solo(c, solver, sub, rhs_a, o.tolerance, o.max_vcycles);
     const SoloRef rb = run_solo(c, solver, sub, rhs_b, o.tolerance, o.max_vcycles);
 
-    batch::BatchedSolver bs(solver, 2);
-    bs.set_rhs({rhs_a, rhs_b});
-    std::vector<batch::BatchSolveSpec> specs(2);
-    specs[0].tolerance = specs[1].tolerance = o.tolerance;
-    specs[0].max_vcycles = specs[1].max_vcycles = o.max_vcycles;
-    const std::vector<SolveResult> got = bs.solve(c, specs);
-    expect_component_matches_solo(ra, got[0], bs, 0, c.rank());
-    expect_component_matches_solo(rb, got[1], bs, 1, c.rank());
+    const std::vector<SolveResult> got =
+        run_wide(c, solver, {rhs_a, rhs_b}, o.tolerance, o.max_vcycles);
+    expect_component_matches_solo(ra, got[0], solver, 0, c.rank());
+    expect_component_matches_solo(rb, got[1], solver, 1, c.rank());
   });
 }
 
@@ -189,17 +206,11 @@ TEST(BatchedBottomCg, ThreeWayBitwiseWithCgBottom) {
     const SoloRef rb = run_solo(c, solver, sub, rhs_b, o.tolerance, o.max_vcycles);
     const SoloRef rc = run_solo(c, solver, sub, rhs_c, o.tolerance, o.max_vcycles);
 
-    batch::BatchedSolver bs(solver, 3);
-    bs.set_rhs({rhs_a, rhs_b, rhs_c});
-    std::vector<batch::BatchSolveSpec> specs(3);
-    for (auto& s : specs) {
-      s.tolerance = o.tolerance;
-      s.max_vcycles = o.max_vcycles;
-    }
-    const std::vector<SolveResult> got = bs.solve(c, specs);
-    expect_component_matches_solo(ra, got[0], bs, 0, c.rank());
-    expect_component_matches_solo(rb, got[1], bs, 1, c.rank());
-    expect_component_matches_solo(rc, got[2], bs, 2, c.rank());
+    const std::vector<SolveResult> got = run_wide(
+        c, solver, {rhs_a, rhs_b, rhs_c}, o.tolerance, o.max_vcycles);
+    expect_component_matches_solo(ra, got[0], solver, 0, c.rank());
+    expect_component_matches_solo(rb, got[1], solver, 1, c.rank());
+    expect_component_matches_solo(rc, got[2], solver, 2, c.rank());
   });
 }
 
@@ -221,15 +232,14 @@ TEST(BatchedRetirement, LooseComponentRetiresEarlyBitwise) {
     const SoloRef tight = run_solo(c, solver, sub, rhs_b, 1e-9, 40);
     ASSERT_LT(loose.result.vcycles, tight.result.vcycles);
 
-    batch::BatchedSolver bs(solver, 2);
-    bs.set_rhs({rhs_a, rhs_b});
-    std::vector<batch::BatchSolveSpec> specs(2);
+    solver.set_rhs({rhs_a, rhs_b});
+    std::vector<SolveSpec> specs(2);
     specs[0].tolerance = 1e-2;
     specs[1].tolerance = 1e-9;
     specs[0].max_vcycles = specs[1].max_vcycles = 40;
-    const std::vector<SolveResult> got = bs.solve(c, specs);
-    expect_component_matches_solo(loose, got[0], bs, 0, 0);
-    expect_component_matches_solo(tight, got[1], bs, 1, 0);
+    const std::vector<SolveResult> got = solver.solve(c, specs);
+    expect_component_matches_solo(loose, got[0], solver, 0, 0);
+    expect_component_matches_solo(tight, got[1], solver, 1, 0);
   });
 }
 
@@ -244,16 +254,15 @@ TEST(BatchedRetirement, ExhaustedCycleBudgetMatchesSolo) {
     const SoloRef free = run_solo(c, solver, sub, rhs_b, 1e-6, 40);
     EXPECT_FALSE(capped.result.converged);
 
-    batch::BatchedSolver bs(solver, 2);
-    bs.set_rhs({rhs_a, rhs_b});
-    std::vector<batch::BatchSolveSpec> specs(2);
+    solver.set_rhs({rhs_a, rhs_b});
+    std::vector<SolveSpec> specs(2);
     specs[0].tolerance = 1e-14;
     specs[0].max_vcycles = 2;
     specs[1].tolerance = 1e-6;
     specs[1].max_vcycles = 40;
-    const std::vector<SolveResult> got = bs.solve(c, specs);
-    expect_component_matches_solo(capped, got[0], bs, 0, 0);
-    expect_component_matches_solo(free, got[1], bs, 1, 0);
+    const std::vector<SolveResult> got = solver.solve(c, specs);
+    expect_component_matches_solo(capped, got[0], solver, 0, 0);
+    expect_component_matches_solo(free, got[1], solver, 1, 0);
   });
 }
 
@@ -273,13 +282,9 @@ TEST(BatchedRetirement, NonFiniteComponentRetiresWithoutPoisoningPeers) {
     GmgSolver solver(o, decomp, 0);
     const SoloRef clean = run_solo(c, solver, sub, rhs_a, o.tolerance, 6);
 
-    batch::BatchedSolver bs(solver, 2);
-    bs.set_rhs({rhs_a, poisoned});
-    std::vector<batch::BatchSolveSpec> specs(2);
-    specs[0].tolerance = specs[1].tolerance = o.tolerance;
-    specs[0].max_vcycles = specs[1].max_vcycles = 6;
-    const std::vector<SolveResult> got = bs.solve(c, specs);
-    expect_component_matches_solo(clean, got[0], bs, 0, 0);
+    const std::vector<SolveResult> got =
+        run_wide(c, solver, {rhs_a, poisoned}, o.tolerance, 6);
+    expect_component_matches_solo(clean, got[0], solver, 0, 0);
     EXPECT_FALSE(got[1].converged);
     EXPECT_TRUE(std::isnan(got[1].final_residual));
     EXPECT_LE(got[1].vcycles, 1);
@@ -304,22 +309,65 @@ TEST(BatchedRetirement, CancelledComponentRetiresOthersFinish) {
     EXPECT_TRUE(cancelled.result.cancelled);
     EXPECT_EQ(cancelled.result.vcycles, 0);
 
-    batch::BatchedSolver bs(solver, 2);
-    bs.set_rhs({rhs_a, rhs_b});
-    std::vector<batch::BatchSolveSpec> specs(2);
+    solver.set_rhs({rhs_a, rhs_b});
+    std::vector<SolveSpec> specs(2);
     specs[0].tolerance = specs[1].tolerance = 1e-8;
     specs[0].max_vcycles = specs[1].max_vcycles = 40;
     specs[0].control = &cancel_now;
-    const std::vector<SolveResult> got = bs.solve(c, specs);
+    const std::vector<SolveResult> got = solver.solve(c, specs);
     EXPECT_TRUE(got[0].cancelled);
-    expect_component_matches_solo(cancelled, got[0], bs, 0, 0);
-    expect_component_matches_solo(normal, got[1], bs, 1, 0);
+    expect_component_matches_solo(cancelled, got[0], solver, 0, 0);
+    expect_component_matches_solo(normal, got[1], solver, 1, 0);
   });
 }
 
 // ---------------------------------------------------------------------
-// The layout's reason to exist: a K-way batched solve performs exactly
-// as many ghost-exchange rounds as ONE solo solve on the same
+// One hierarchy, three widths: K=3, then K=1, then K=2 on the same
+// solver. Every solve must match freshly built single-RHS solvers bit
+// for bit — history, cycle count and solution — so nothing a wider or
+// narrower solve leaves behind (fields, exchange engines, retired
+// snapshots) leaks into the next.
+
+TEST(BatchedWidths, OneHierarchySolvesAtK3ThenK1ThenK2Bitwise) {
+  GmgOptions o = small_options();
+  o.smoother = Smoother::kChebyshev;
+  o.bottom = BottomSolverType::kConjugateGradient;
+  o.bottom_smooths = 20;
+  o.max_vcycles = 4;
+  const CartDecomp decomp({16, 16, 16}, {2, 1, 1});
+  const Vec3 sub = decomp.subdomain_extent();
+  comm::World world(2);
+  world.run([&](comm::Communicator& c) {
+    const auto fresh = [&](const RhsFunction& f) {
+      GmgSolver s(o, decomp, c.rank());
+      return run_solo(c, s, sub, f, o.tolerance, o.max_vcycles);
+    };
+    const SoloRef ra = fresh(rhs_a);
+    const SoloRef rb = fresh(rhs_b);
+    const SoloRef rc = fresh(rhs_c);
+
+    GmgSolver solver(o, decomp, c.rank());
+    std::vector<SolveResult> got = run_wide(
+        c, solver, {rhs_a, rhs_b, rhs_c}, o.tolerance, o.max_vcycles);
+    ASSERT_EQ(solver.batch(), 3);
+    expect_component_matches_solo(ra, got[0], solver, 0, c.rank());
+    expect_component_matches_solo(rb, got[1], solver, 1, c.rank());
+    expect_component_matches_solo(rc, got[2], solver, 2, c.rank());
+
+    got = run_wide(c, solver, {rhs_b}, o.tolerance, o.max_vcycles);
+    ASSERT_EQ(solver.batch(), 1);
+    expect_component_matches_solo(rb, got[0], solver, 0, c.rank());
+
+    got = run_wide(c, solver, {rhs_c, rhs_a}, o.tolerance, o.max_vcycles);
+    ASSERT_EQ(solver.batch(), 2);
+    expect_component_matches_solo(rc, got[0], solver, 0, c.rank());
+    expect_component_matches_solo(ra, got[1], solver, 1, c.rank());
+  });
+}
+
+// ---------------------------------------------------------------------
+// The layout's reason to exist: a K-wide solve performs exactly as
+// many ghost-exchange rounds as ONE single-RHS solve on the same
 // schedule — each stretched round carries all K components.
 
 TEST(BatchedExchange, KWaySolveUsesSoloExchangeRounds) {
@@ -349,26 +397,19 @@ TEST(BatchedExchange, KWaySolveUsesSoloExchangeRounds) {
     comm::World world(2);
     world.run([&](comm::Communicator& c) {
       GmgSolver solver(o, decomp, c.rank());
-      batch::BatchedSolver bs(solver, 3);
-      bs.set_rhs({rhs_a, rhs_b, rhs_c});
-      std::vector<batch::BatchSolveSpec> specs(3);
-      for (auto& s : specs) {
-        s.tolerance = tol;
-        s.max_vcycles = cycles;
-      }
-      (void)bs.solve(c, specs);
+      (void)run_wide(c, solver, {rhs_a, rhs_b, rhs_c}, tol, cycles);
     });
     const trace::Snapshot snap = trace::collect();
     EXPECT_EQ(snap.counter_total("exchange.calls"), solo_calls);
-    EXPECT_EQ(snap.counter_total("batch.solves"), 2u);       // one per rank
-    EXPECT_EQ(snap.counter_total("batch.components"), 6u);   // 3 per rank
+    EXPECT_EQ(snap.counter_total("gmg.solves"), 2u);  // one per rank
+    EXPECT_EQ(snap.counter_total("gmg.rhs"), 6u);     // 3 per rank
   }
   trace::set_enabled(false);
   trace::clear();
 }
 
 // ---------------------------------------------------------------------
-// Storage plumbing: arena-backed batched fields round-trip.
+// Storage plumbing: arena-backed K-wide fields round-trip.
 
 TEST(BatchedStorage, ArenaBackedSolveMatchesDirect) {
   GmgOptions o = small_options();
@@ -380,23 +421,24 @@ TEST(BatchedStorage, ArenaBackedSolveMatchesDirect) {
     const SoloRef ra = run_solo(c, solver, sub, rhs_a, o.tolerance, o.max_vcycles);
 
     BrickArena arena;
-    std::vector<batch::BatchSolveSpec> specs(2);
-    specs[0].tolerance = specs[1].tolerance = o.tolerance;
-    specs[0].max_vcycles = specs[1].max_vcycles = o.max_vcycles;
     {
-      batch::BatchedSolver bs(solver, 2, &arena);
-      bs.set_rhs({rhs_a, rhs_b});
-      const std::vector<SolveResult> got = bs.solve(c, specs);
-      expect_component_matches_solo(ra, got[0], bs, 0, 0);
+      solver.attach_field_storage(arena, 2);
+      EXPECT_EQ(solver.batch(), 2);
+      const std::vector<SolveResult> got =
+          run_wide(c, solver, {rhs_a, rhs_b}, o.tolerance, o.max_vcycles);
+      expect_component_matches_solo(ra, got[0], solver, 0, 0);
     }
-    // Fields returned to the arena on destruction; a second batched
-    // solver reuses them (zeroed) and still matches solo.
+    // Fields returned to the arena on detach; re-attaching at K=2
+    // reuses them (zeroed) and still matches solo.
+    solver.detach_field_storage(arena);
     EXPECT_GT(arena.stats().pooled_buffers, 0u);
+    const std::uint64_t hits_before = arena.stats().hits;
     {
-      batch::BatchedSolver bs(solver, 2, &arena);
-      bs.set_rhs({rhs_a, rhs_b});
-      const std::vector<SolveResult> got = bs.solve(c, specs);
-      expect_component_matches_solo(ra, got[0], bs, 0, 0);
+      solver.attach_field_storage(arena, 2);
+      EXPECT_GT(arena.stats().hits, hits_before);
+      const std::vector<SolveResult> got =
+          run_wide(c, solver, {rhs_a, rhs_b}, o.tolerance, o.max_vcycles);
+      expect_component_matches_solo(ra, got[0], solver, 0, 0);
     }
   });
 }
@@ -406,18 +448,19 @@ TEST(BatchedKernels, MaxNormPropagatesNaNPerComponent) {
   // its neighbour in the same AoSoA row keeps its finite max. A NaN
   // in a ghost brick is outside the norm altogether.
   auto grid_arr = BrickedArray::create({8, 8, 8}, BrickShape::cube(4));
-  batch::BatchedBrickedArray a(grid_arr.grid_ptr(), BrickShape::cube(4), 2);
+  BrickedArray a =
+      BrickedArray::wide(grid_arr.grid_ptr(), BrickShape::cube(4), 2);
   for_each(Box::from_extent({8, 8, 8}), [&](index_t i, index_t j, index_t k) {
     a.at(i, j, k, 0) = -static_cast<real_t>(i + j + k);
     a.at(i, j, k, 1) = 0.5;
   });
   a.at(-1, 0, 0, 1) = std::nan("");
-  EXPECT_EQ(batch::max_norm(a, 0), 21.0);
-  EXPECT_EQ(batch::max_norm(a, 1), 0.5);
+  EXPECT_EQ(max_norm(a, 0), 21.0);
+  EXPECT_EQ(max_norm(a, 1), 0.5);
   for (const Vec3 cell : {Vec3{0, 0, 0}, Vec3{5, 2, 3}, Vec3{7, 7, 7}}) {
     a.at(cell.x, cell.y, cell.z, 1) = std::nan("");
-    EXPECT_TRUE(std::isnan(batch::max_norm(a, 1)));
-    EXPECT_EQ(batch::max_norm(a, 0), 21.0);
+    EXPECT_TRUE(std::isnan(max_norm(a, 1)));
+    EXPECT_EQ(max_norm(a, 0), 21.0);
     a.at(cell.x, cell.y, cell.z, 1) = 0.5;
   }
 }
@@ -427,11 +470,15 @@ TEST(BatchedArray, LayoutIsRhsInnermost) {
   // (i*K + c, j, k) — component index innermost within a brick row.
   auto grid_arr =
       BrickedArray::create({8, 8, 8}, BrickShape::cube(4));
-  batch::BatchedBrickedArray a(grid_arr.grid_ptr(), BrickShape::cube(4), 2);
-  a.at(3, 1, 2, 0) = 10.0;
-  a.at(3, 1, 2, 1) = 20.0;
-  EXPECT_EQ(a.inner()(6, 1, 2), 10.0);
-  EXPECT_EQ(a.inner()(7, 1, 2), 20.0);
+  BrickedArray wide =
+      BrickedArray::wide(grid_arr.grid_ptr(), BrickShape::cube(4), 2);
+  const batch::BatchedBrickedArray a = batch::view(wide);
+  wide.at(3, 1, 2, 0) = 10.0;
+  wide.at(3, 1, 2, 1) = 20.0;
+  EXPECT_EQ(wide(6, 1, 2), 10.0);
+  EXPECT_EQ(wide(7, 1, 2), 20.0);
+  EXPECT_EQ(a.at(3, 1, 2, 1), 20.0);
+  EXPECT_EQ(wide.shape(), (BrickShape{8, 4, 4}));
   EXPECT_EQ(a.batch(), 2);
   EXPECT_EQ(a.base_shape(), BrickShape::cube(4));
 }

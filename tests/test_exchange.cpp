@@ -26,6 +26,26 @@ struct BrickCase {
   BrickExchangeMode mode;
 };
 
+std::string grid_name(Vec3 g) {
+  return std::to_string(g.x) + "x" + std::to_string(g.y) + "x" +
+         std::to_string(g.z);
+}
+
+std::string case_name(const BrickCase& p) {
+  const char* mode = p.mode == BrickExchangeMode::kPackFree ? "PackFree"
+                     : p.mode == BrickExchangeMode::kPacked ? "Packed"
+                                                            : "PerBrick";
+  return grid_name(p.rank_grid) + "_b" + std::to_string(p.bdim) + "_" + mode;
+}
+
+// gtest prints a parameter into the ctest name; the default printer
+// dumps the struct's bytes, padding included.
+void PrintTo(const BrickCase& p, std::ostream* os) { *os << case_name(p); }
+
+std::string brick_case_name(const ::testing::TestParamInfo<BrickCase>& info) {
+  return case_name(info.param);
+}
+
 class BrickExchangeTest : public ::testing::TestWithParam<BrickCase> {};
 
 TEST_P(BrickExchangeTest, GhostsMatchPeriodicWrap) {
@@ -79,7 +99,8 @@ INSTANTIATE_TEST_SUITE_P(
         BrickCase{{2, 1, 1}, 4, BrickExchangeMode::kPacked},
         BrickCase{{2, 2, 2}, 2, BrickExchangeMode::kPerBrick},
         BrickCase{{1, 2, 2}, 4, BrickExchangeMode::kPerBrick},
-        BrickCase{{2, 2, 2}, 8, BrickExchangeMode::kPackFree}));
+        BrickCase{{2, 2, 2}, 8, BrickExchangeMode::kPackFree}),
+    brick_case_name);
 
 // The solvers build one BrickExchange per level and call exchange()
 // on it every sweep. A second round on the same engine must refresh
@@ -138,16 +159,7 @@ INSTANTIATE_TEST_SUITE_P(
                       BrickCase{{2, 2, 2}, 2, BrickExchangeMode::kPackFree},
                       BrickCase{{2, 2, 2}, 2, BrickExchangeMode::kPacked},
                       BrickCase{{2, 1, 1}, 4, BrickExchangeMode::kPerBrick}),
-    [](const ::testing::TestParamInfo<BrickCase>& info) {
-      const BrickCase& p = info.param;
-      const char* mode = p.mode == BrickExchangeMode::kPackFree ? "PackFree"
-                         : p.mode == BrickExchangeMode::kPacked ? "Packed"
-                                                                : "PerBrick";
-      return std::to_string(p.rank_grid.x) + "x" +
-             std::to_string(p.rank_grid.y) + "x" +
-             std::to_string(p.rank_grid.z) + "_b" + std::to_string(p.bdim) +
-             "_" + mode;
-    });
+    brick_case_name);
 
 TEST(BrickExchangeMultiField, AggregatesFieldsInOneRound) {
   const Vec3 rank_grid{2, 1, 1};
@@ -247,6 +259,12 @@ struct ArrayCase {
   index_t ghost;
 };
 
+std::string case_name(const ArrayCase& p) {
+  return grid_name(p.rank_grid) + "_g" + std::to_string(p.ghost);
+}
+
+void PrintTo(const ArrayCase& p, std::ostream* os) { *os << case_name(p); }
+
 class ArrayExchangeTest : public ::testing::TestWithParam<ArrayCase> {};
 
 TEST_P(ArrayExchangeTest, GhostsMatchPeriodicWrap) {
@@ -287,7 +305,10 @@ INSTANTIATE_TEST_SUITE_P(Shapes, ArrayExchangeTest,
                                            ArrayCase{{2, 2, 2}, 1},
                                            ArrayCase{{1, 2, 1}, 3},
                                            ArrayCase{{2, 2, 2}, 2},
-                                           ArrayCase{{4, 1, 1}, 2}));
+                                           ArrayCase{{4, 1, 1}, 2}),
+                         [](const ::testing::TestParamInfo<ArrayCase>& info) {
+                           return case_name(info.param);
+                         });
 
 }  // namespace
 }  // namespace gmg::comm

@@ -403,6 +403,33 @@ TEST(FrontServerTest, BadRequestsAndUnknownOperatorsAreRejected) {
   server.stop();
 }
 
+TEST(FrontServerTest, OverflowingRankGridIsABadRequest) {
+  // 4194304 x 4194304 x 2097152 = 2^65 wraps int64 to 0, which would
+  // slip past the server's rank-count cap; the frame must be refused
+  // as a bad request.
+  FrontConfig cfg;
+  cfg.shards = 1;
+  FrontServer server(cfg);
+  server.register_operator("poisson", small_options());
+  const std::uint16_t port = server.listen_tcp(0);
+  FrontClient client;
+  client.connect_tcp(port);
+
+  wire::SubmitFrame sf;
+  sf.request_id = 7;
+  sf.global_extent = {8, 8, 8};
+  sf.rank_grid = {4194304, 4194304, 2097152};
+  sf.rhs_samples = wire::sample_rhs(sf.global_extent, sine_rhs);
+  sf.operator_id = "poisson";
+  const FrontClient::Response r = client.submit_and_wait(sf, 30000);
+  ASSERT_TRUE(r.rejected);
+  EXPECT_EQ(r.reject.reason, wire::RejectReason::kBadRequest);
+  EXPECT_EQ(r.request_id, 7u);
+
+  client.close();
+  server.stop();
+}
+
 TEST(FrontServerTest, UnixSocketAndGracefulStop) {
   FrontConfig cfg;
   cfg.shards = 1;

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <fstream>
 #include <set>
+#include <string>
 
 #include "comm/exchange.hpp"
 #include "common/options.hpp"
@@ -28,6 +29,15 @@ struct SolverConfig {
   int smooths;
   bool ca;
 };
+
+std::string config_name(const SolverConfig& c) {
+  return "b" + std::to_string(c.brick) + "_l" + std::to_string(c.levels) +
+         "_s" + std::to_string(c.smooths) + (c.ca ? "_ca" : "_noca");
+}
+
+// gtest prints a parameter into the ctest name; the default printer
+// dumps the struct's bytes, padding included.
+void PrintTo(const SolverConfig& c, std::ostream* os) { *os << config_name(c); }
 
 class SolverConfigSweep : public ::testing::TestWithParam<SolverConfig> {};
 
@@ -60,7 +70,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SolverConfig{2, 4, 6, true}, SolverConfig{2, 4, 6, false},
                       SolverConfig{4, 3, 4, true}, SolverConfig{4, 3, 12, true},
                       SolverConfig{4, 2, 8, false}, SolverConfig{8, 2, 8, true},
-                      SolverConfig{8, 1, 8, true}));
+                      SolverConfig{8, 1, 8, true}),
+    [](const ::testing::TestParamInfo<SolverConfig>& info) {
+      return config_name(info.param);
+    });
 
 TEST(NonCubicDomains, SolverConvergesOnAnisotropicExtents) {
   // Global 64x32x32 cells; h is uniform (1/64), so the physical domain

@@ -19,8 +19,6 @@
 #include "amr/composite_audit.hpp"
 #include "amr/composite_solver.hpp"
 #include "amr/hierarchy.hpp"
-#include "batch/batched_audit.hpp"
-#include "batch/batched_solver.hpp"
 #include "check/schedule.hpp"
 #include "check/shadow.hpp"
 #include "gmg/schedule_audit.hpp"
@@ -107,21 +105,21 @@ TEST(ScheduleParity, BatchedScheduleProvesCleanAndRunsClean) {
   const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
   comm::World world(1);
   world.run([&](comm::Communicator& c) {
-    GmgSolver base(o, decomp, 0);
-    batch::BatchedSolver bs(base, 4);
-    const check::Schedule sched = batch::record_batched_schedule(bs);
+    GmgSolver solver(o, decomp, 0);
+    solver.set_rhs({sine_rhs, bump_rhs, sine_rhs, bump_rhs});
+    const check::Schedule sched = record_solver_schedule(solver);
     EXPECT_EQ(sched.num_components, 4);
     EXPECT_TRUE(check::ScheduleVerifier().check(sched).empty());
 
     check::set_enabled(true);
     check::reset();
-    bs.set_rhs({sine_rhs, bump_rhs, sine_rhs, bump_rhs});
-    std::vector<batch::BatchSolveSpec> specs(4);
+    solver.set_rhs({sine_rhs, bump_rhs, sine_rhs, bump_rhs});
+    std::vector<SolveSpec> specs(4);
     for (auto& s : specs) {
       s.tolerance = 1e-8;
       s.max_vcycles = 4;
     }
-    bs.solve(c, specs);
+    solver.solve(c, specs);
     EXPECT_TRUE(check::hazards().empty());
     check::reset();
     check::set_enabled(false);
@@ -247,13 +245,12 @@ check::Schedule batched_schedule() {
   o.bottom = BottomSolverType::kConjugateGradient;
   o.max_batch = 4;
   const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
-  static GmgSolver* base = nullptr;
-  static batch::BatchedSolver* bs = nullptr;
-  if (bs == nullptr) {
-    base = new GmgSolver(o, decomp, 0);
-    bs = new batch::BatchedSolver(*base, 4);
+  static GmgSolver* solver = nullptr;
+  if (solver == nullptr) {
+    solver = new GmgSolver(o, decomp, 0);
+    solver->set_rhs({sine_rhs, bump_rhs, sine_rhs, bump_rhs});
   }
-  return batch::record_batched_schedule(*bs);
+  return record_solver_schedule(*solver);
 }
 
 // Hazard class 5: a retired component's retirement-masked collectives

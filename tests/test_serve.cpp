@@ -597,6 +597,65 @@ TEST(BatchCoalescer, CoalescedBatchBitwiseMatchesSoloService) {
   EXPECT_EQ(rep.batch_requests, 3u);
 }
 
+TEST(BatchCoalescer, BatchThenSoloOnOneCachedEntryMatchDirectSolves) {
+  // One cached hierarchy serves a K=3 coalesced solve and then a
+  // single request: the entry re-attaches at each width, and both
+  // answers must equal direct solves bit for bit.
+  ServeConfig cfg;
+  cfg.executors = 1;
+  cfg.queue_capacity = 8;
+  SolveService service(cfg);
+  service.register_operator("poisson", batched_options(4));
+  const DomainSpec domain{{16, 16, 16}, {1, 1, 1}};
+  const auto expect_matches_direct = [&](const RequestResult& res,
+                                         const RhsFunction& f,
+                                         const char* what) {
+    ASSERT_EQ(res.status, RequestStatus::kDone) << what << ": " << res.error;
+    const Reference ref =
+        solo_solve(batched_options(4), domain, f, 1e-8, 40);
+    EXPECT_EQ(res.solve.vcycles, ref.result.vcycles) << what;
+    EXPECT_EQ(res.solve.history, ref.result.history) << what;
+    EXPECT_EQ(res.solution, ref.solution) << what;
+  };
+
+  // The pinned request builds the entry; the three queued behind it
+  // coalesce into one K=3 solve on that cached entry.
+  Gate gate;
+  SolveRequest pinned = basic_request();
+  pinned.domain = domain;
+  pinned.rhs = [&](real_t x, real_t y, real_t z) {
+    gate.wait();
+    return sine_rhs(x, y, z);
+  };
+  SolveFuture running = service.submit(pinned);
+  gate.await_entered();
+  const RhsFunction rhses[3] = {cosine_rhs, poly_rhs, sine_rhs};
+  std::vector<SolveFuture> futures;
+  for (const auto& f : rhses) {
+    SolveRequest req = basic_request();
+    req.domain = domain;
+    req.rhs = f;
+    futures.push_back(service.submit(req));
+  }
+  gate.release();
+  EXPECT_EQ(running.get().status, RequestStatus::kDone);
+  for (int i = 0; i < 3; ++i) {
+    const RequestResult res = futures[static_cast<std::size_t>(i)].get();
+    EXPECT_TRUE(res.cache_hit);
+    expect_matches_direct(res, rhses[i], "batch member");
+  }
+  ASSERT_EQ(service.stats().batch_solves, 1u);
+
+  SolveRequest solo = basic_request();
+  solo.domain = domain;
+  solo.rhs = poly_rhs;
+  const RequestResult res = service.submit(solo).get();
+  EXPECT_TRUE(res.cache_hit);
+  expect_matches_direct(res, poly_rhs, "solo after batch");
+  EXPECT_EQ(service.stats().batch_solves, 1u);
+  EXPECT_EQ(service.report().cache.misses, 1u);
+}
+
 TEST(BatchCoalescer, FirstRequestOnIdleServiceRunsSoloImmediately) {
   ServeConfig cfg;
   cfg.executors = 1;

@@ -217,6 +217,10 @@ struct SmootherCase {
   const char* name;
 };
 
+// gtest prints a parameter into the ctest name; the default printer
+// dumps the struct's bytes, padding included.
+void PrintTo(const SmootherCase& c, std::ostream* os) { *os << c.name; }
+
 class MultiRankSmoother : public ::testing::TestWithParam<SmootherCase> {};
 
 TEST_P(MultiRankSmoother, MatchesSingleRankBitwise) {

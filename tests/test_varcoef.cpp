@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "gmg/operators.hpp"
 #include "gmg/operators_varcoef.hpp"
@@ -118,12 +119,20 @@ TEST(VarCoefOperator, DiagonalMatchesOperatorColumn) {
   EXPECT_NEAR(Ax(3, 4, 5), diag(3, 4, 5), 1e-8);
 }
 
-class VarCoefSolve
-    : public ::testing::TestWithParam<std::pair<Smoother, BottomSolverType>> {
+struct VarCoefCase {
+  Smoother smoother;
+  BottomSolverType bottom;
+  const char* name;
 };
 
+// gtest prints a parameter into the ctest name; the default printer
+// dumps the struct's bytes, padding included.
+void PrintTo(const VarCoefCase& c, std::ostream* os) { *os << c.name; }
+
+class VarCoefSolve : public ::testing::TestWithParam<VarCoefCase> {};
+
 TEST_P(VarCoefSolve, ConvergesOnWavyCoefficientProblem) {
-  const auto [smoother, bottom] = GetParam();
+  const auto [smoother, bottom, name] = GetParam();
   const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
   comm::World world(1);
   world.run([&](comm::Communicator& c) {
@@ -149,10 +158,15 @@ TEST_P(VarCoefSolve, ConvergesOnWavyCoefficientProblem) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, VarCoefSolve,
     ::testing::Values(
-        std::make_pair(Smoother::kPointJacobi, BottomSolverType::kSmooth),
-        std::make_pair(Smoother::kChebyshev, BottomSolverType::kSmooth),
-        std::make_pair(Smoother::kPointJacobi,
-                       BottomSolverType::kConjugateGradient)));
+        VarCoefCase{Smoother::kPointJacobi, BottomSolverType::kSmooth,
+                    "jacobi_smooth"},
+        VarCoefCase{Smoother::kChebyshev, BottomSolverType::kSmooth,
+                    "cheby_smooth"},
+        VarCoefCase{Smoother::kPointJacobi,
+                    BottomSolverType::kConjugateGradient, "jacobi_cg"}),
+    [](const ::testing::TestParamInfo<VarCoefCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(VarCoefSolve, MultiRankMatchesSingleRankBitwise) {
   const Vec3 global{32, 32, 32};

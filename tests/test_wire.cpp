@@ -337,6 +337,21 @@ TEST(Wire, DecodeValidatesSemanticFields) {
   bad.operator_id = "";
   EXPECT_FALSE(decode_submit(payload_of(bad), &out, &err));
 
+  // Extent and rank-grid volumes that overflow int64 (2^65 wraps to 0,
+  // which an empty sample list would otherwise match) are rejected by
+  // name, not by a wrapped product.
+  bad = good;
+  bad.global_extent = {4194304, 4194304, 2097152};
+  bad.rhs_samples.clear();
+  err.clear();
+  EXPECT_FALSE(decode_submit(payload_of(bad), &out, &err));
+  EXPECT_EQ(err, "global extent volume overflows");
+  bad = good;
+  bad.rank_grid = {4194304, 4194304, 2097152};
+  err.clear();
+  EXPECT_FALSE(decode_submit(payload_of(bad), &out, &err));
+  EXPECT_EQ(err, "rank grid volume overflows");
+
   // Non-finite RHS samples are rejected at the wire, by name.
   const real_t inf = std::numeric_limits<real_t>::infinity();
   for (const real_t poison : {std::nan(""), inf, -inf}) {

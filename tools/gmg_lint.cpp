@@ -47,7 +47,7 @@
 //                       their varcoef twins) may only be invoked
 //                       through KernelPlan bindings ('.' or '->'):
 //                       a bare call bypasses the specializer registry
-//                       and silently forks the solo/batched schedules.
+//                       and silently forks the schedule from its plan.
 //   effect-summary      7. Every kernel in src/gmg, src/dsl,
 //                       src/batch, src/amr — a namespace-scope
 //                       non-template function that launches a
