@@ -1,6 +1,12 @@
 #include "bench/bench_util.hpp"
 
 #include <algorithm>
+#include <ctime>
+#include <fstream>
+#include <sstream>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/options.hpp"
 #include "gmg/fused_kernels.hpp"
@@ -121,6 +127,80 @@ FusedDescentTimes measure_fused_descent(index_t n, index_t bdim,
     }
   }
   return out;
+}
+
+namespace {
+
+/// CPU time consumed so far by the calling thread, in seconds.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+}  // namespace
+
+FusedSweepTimes measure_fused_sweep(index_t n, index_t bdim, int runs) {
+  KernelFixture f(n, bdim);
+  const Box interior = Box::from_extent({n, n, n});
+  // Each block starts from freshly filled ghosts, as after the
+  // exchange that opens it (untimed), so both schedules read the same
+  // data every run.
+  const auto block = [&](bool fused) {
+    f.x.fill_ghosts_periodic();
+    const double t0 = thread_cpu_seconds();
+    for (index_t margin = bdim; margin >= 1; --margin) {
+      const Box active = grow(interior, margin - 1);
+      if (fused) {
+        fused::jacobi_sweep(f.Ax, &f.r, f.x, f.b, f.alpha, f.beta, f.gamma,
+                            active);
+        std::swap(f.x, f.Ax);
+      } else {
+        apply_op(f.Ax, f.x, f.alpha, f.beta, active);
+        smooth_residual(f.x, f.r, f.Ax, f.b, f.gamma, active);
+      }
+    }
+    return thread_cpu_seconds() - t0;
+  };
+  block(false);  // warm-up (and page-fault every field)
+  block(true);
+  std::vector<double> split, fused;
+  for (int rep = 0; rep < runs; ++rep) {
+    split.push_back(block(false));
+    fused.push_back(block(true));
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t m = v.size() / 2;
+    return v.size() % 2 == 1 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+  };
+  return FusedSweepTimes{median(split), median(fused)};
+}
+
+std::string host_json(int workers) {
+  std::string model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size())
+        model = line.substr(colon + 2);
+      break;
+    }
+  }
+  for (char& c : model)
+    if (c == '"' || c == '\\') c = ' ';
+#ifdef NDEBUG
+  const char* build = "release";
+#else
+  const char* build = "debug";
+#endif
+  std::ostringstream os;
+  os << "{\"hardware_concurrency\": " << std::thread::hardware_concurrency()
+     << ", \"workers\": " << workers << ", \"cpu\": \"" << model
+     << "\", \"build\": \"" << build << "\"}";
+  return os.str();
 }
 
 arch::ArchSpec calibrated_host(index_t n) {

@@ -43,6 +43,23 @@ struct FusedDescentTimes {
 FusedDescentTimes measure_fused_descent(index_t n, index_t bdim,
                                         int repetitions = 3);
 
+/// One communication-avoiding Jacobi block (DESIGN.md §16): the
+/// bdim radius-1 sweeps one exchange pays for, each over the interior
+/// grown by the margin left, with the residual written on every sweep.
+/// `split` runs applyOp then smooth+residual per sweep; `fused` runs
+/// the one-pass sweep into the Ax buffer and swaps it with x. Medians
+/// over `runs` interleaved runs, in seconds of the calling thread's
+/// CPU time (run it with one kernel worker so that is all the work).
+struct FusedSweepTimes {
+  double split = 0;
+  double fused = 0;
+};
+FusedSweepTimes measure_fused_sweep(index_t n, index_t bdim, int runs = 9);
+
+/// JSON object describing the host a bench ran on: logical cores,
+/// kernel workers, CPU model and build type.
+std::string host_json(int workers);
+
 /// The host ArchSpec with its per-kernel efficiencies filled from live
 /// measurements:
 ///   frac_roofline[op]        = achieved bandwidth / STREAM bandwidth

@@ -121,6 +121,33 @@ int main(int argc, char** argv) {
   bench::note("  fused/split speedup = " +
               std::to_string(fd.split_sum() / fd.fused));
 
+  // --- one-pass Jacobi sweep (DESIGN.md §16): A x evaluated inside
+  // the smoother update vs the split applyOp + smooth+residual pair,
+  // over one CA block. One kernel worker, so the calling thread's CPU
+  // time is the whole work and the medians are free of scheduler
+  // noise.
+  bench::section(
+      "Fused sweep — one-pass applyOp+smooth+residual vs the split pair, "
+      "one CA block at 64^3, one worker, median thread CPU time");
+  constexpr int kSweepRuns = 11;
+  constexpr int kSweepWorkers = 1;
+  exec::configure_default_engine(kSweepWorkers);
+  const index_t sweep_bdims[] = {4, 8};
+  std::vector<bench::FusedSweepTimes> sweeps;
+  Table st({"brick", "split_ms", "fused_ms", "fused/split speedup"});
+  for (const index_t sb : sweep_bdims) {
+    sweeps.push_back(bench::measure_fused_sweep(n, sb, kSweepRuns));
+    const bench::FusedSweepTimes& fs = sweeps.back();
+    st.row()
+        .cell(std::to_string(sb) + "^3")
+        .cell(fs.split * 1e3, 3)
+        .cell(fs.fused * 1e3, 3)
+        .cell(fs.split / fs.fused, 3);
+  }
+  exec::configure_default_engine(default_workers);
+  st.print();
+  st.write_csv("bench/out/micro_runtime_fused_sweep.csv");
+
   // --- setup-time schedule verification (DESIGN.md §18): what the
   // static proof costs relative to the solver setup it rides on. The
   // ctor hook is disabled so the record+verify phases are timed
@@ -175,6 +202,21 @@ int main(int argc, char** argv) {
      << "    \"fused_gstencil_per_s\": " << fused_gsps << ",\n"
      << "    \"fused_over_split_speedup\": " << fd.split_sum() / fd.fused
      << "\n  },\n"
+     << "  \"fused_sweep\": {\n"
+     << "    \"host\": " << bench::host_json(kSweepWorkers) << ",\n"
+     << "    \"n\": " << n << ",\n"
+     << "    \"runs\": " << kSweepRuns << ",\n"
+     << "    \"statistic\": \"median thread CPU seconds per CA block\",\n"
+     << "    \"cases\": [\n";
+  for (std::size_t i = 0; i < sweeps.size(); ++i) {
+    const bench::FusedSweepTimes& fs = sweeps[i];
+    os << "      {\"brick_dim\": " << sweep_bdims[i]
+       << ", \"sweeps\": " << sweep_bdims[i] << ", \"split_s\": " << fs.split
+       << ", \"fused_s\": " << fs.fused
+       << ", \"fused_over_split_speedup\": " << fs.split / fs.fused << "}"
+       << (i + 1 < sweeps.size() ? ",\n" : "\n");
+  }
+  os << "    ]\n  },\n"
      << "  \"schedule_verify\": {\n"
      << "    \"setup_s\": " << setup_s << ",\n"
      << "    \"proof_s\": " << proof_s << ",\n"

@@ -7,9 +7,13 @@
 #   2. A separate ASan+UBSan tree (./build-asan, bench/examples off)
 #      running the trace recorder and simmpi/exchange tests — the
 #      multi-threaded code where a data race or lifetime bug in the
-#      per-thread ring buffers would hide — and the wire and front
+#      per-thread ring buffers would hide — the wire and front
 #      tests: the wire decoder is the hostile-input surface, where
-#      UBSan catches a signed overflow in a size check.
+#      UBSan catches a signed overflow in a size check — and the
+#      kernel suites (operators, fused kernels, serve): release builds
+#      compile GMG_ASSERT out, so an out-of-buffer tap (say, the west
+#      neighbour of a clipped ghost brick that has none) or a stale
+#      arena buffer shows only under ASan.
 #   3. A TSan tree (./build-tsan, OpenMP off — see GMG_SANITIZE_THREAD)
 #      running the kernel-runtime parallel_for pool, simmpi, ghost
 #      exchange, and solve-service tests: the worker-pool handoffs of
@@ -114,15 +118,17 @@ done
 if [[ "${SKIP_ASAN}" == 1 ]]; then
   echo "== skipping ASan+UBSan pass =="
 else
-  echo "== ASan+UBSan: trace + comm + wire/front tests =="
+  echo "== ASan+UBSan: trace + comm + wire/front + kernel/serve tests =="
   cmake -B build-asan -S . \
     -DGMG_SANITIZE=ON \
     -DGMG_ENABLE_BENCH=OFF \
     -DGMG_ENABLE_EXAMPLES=OFF \
     -DGMG_NATIVE_ARCH=OFF >/dev/null
   cmake --build build-asan -j"${JOBS}" \
-    --target test_trace test_simmpi test_exchange test_wire test_front
-  for t in test_trace test_simmpi test_exchange test_wire test_front; do
+    --target test_trace test_simmpi test_exchange test_wire test_front \
+             test_operators test_fused test_serve
+  for t in test_trace test_simmpi test_exchange test_wire test_front \
+           test_operators test_fused test_serve; do
     echo "-- ${t} (sanitized)"
     "./build-asan/tests/${t}"
   done

@@ -63,12 +63,11 @@ AmrHierarchy::AmrHierarchy(const AmrOptions& opts, const CartDecomp& decomp,
     uncovered_->set(id, !cov);
   });
 
-  // Composite coarse fields on the solver's finest grid (the solver's
-  // own x/b/Ax/r are scratch for the correction solves).
+  // Composite solution and RHS on the solver's finest grid (the
+  // solver's own x/b are scratch for the correction solves; its r and
+  // Ax double as the composite residual and applyOp scratch).
   xH_ = BrickedArray(grid, L0.shape);
   bH_ = BrickedArray(grid, L0.shape);
-  rH_ = BrickedArray(grid, L0.shape);
-  AxH_ = BrickedArray(grid, L0.shape);
 
   // The per-rank patch part as a synthetic MgLevel: same brick shape,
   // half the spacing, kernels bound by the same specializer the
@@ -125,8 +124,8 @@ void AmrHierarchy::set_rhs(
     bH_(i, j, k) = f(px, py, pz);
   });
   init_zero(xH_);
-  init_zero(rH_);
-  init_zero(AxH_);
+  init_zero(rH());
+  init_zero(AxH());
   if (has_part()) {
     const real_t h = patch_.h;
     for_each(patch_.interior(), [&](index_t i, index_t j, index_t k) {
@@ -149,8 +148,6 @@ void AmrHierarchy::detach_field_storage(BrickArena& arena) {
   solver_.detach_field_storage(arena);
   arena.release(std::move(xH_));
   arena.release(std::move(bH_));
-  arena.release(std::move(rH_));
-  arena.release(std::move(AxH_));
   if (has_part()) {
     arena.release(std::move(patch_.x));
     arena.release(std::move(patch_.b));
@@ -166,8 +163,6 @@ void AmrHierarchy::attach_field_storage(BrickArena& arena) {
   const MgLevel& L0 = solver_.level(0);
   xH_ = arena.acquire(L0.grid, L0.shape);
   bH_ = arena.acquire(L0.grid, L0.shape);
-  rH_ = arena.acquire(L0.grid, L0.shape);
-  AxH_ = arena.acquire(L0.grid, L0.shape);
   if (has_part()) {
     patch_.x = arena.acquire(patch_.grid, patch_.shape);
     patch_.b = arena.acquire(patch_.grid, patch_.shape);

@@ -72,13 +72,16 @@ class AmrHierarchy {
   const InterfaceGeometry& geometry() const { return geom_; }
   comm::PatchExchange& patch_exchange() { return *pexch_; }
 
-  /// Composite coarse fields, owned here (distinct from the solver's
-  /// per-vcycle fields, which the correction solve scribbles on):
-  /// the composite solution, RHS, and residual on the coarse grid.
+  /// Composite coarse fields: the composite solution and RHS, owned
+  /// here (distinct from the solver's per-vcycle fields, which the
+  /// correction solve scribbles on), and the composite residual and
+  /// its applyOp scratch, which borrow the solver's finest r and Ax —
+  /// idle between correction solves, and rewritten by
+  /// composite_residual before correction_solve copies r into b.
   BrickedArray& xH() { return xH_; }
   BrickedArray& bH() { return bH_; }
-  BrickedArray& rH() { return rH_; }
-  BrickedArray& AxH() { return AxH_; }
+  BrickedArray& rH() { return solver_.level(0).r; }
+  BrickedArray& AxH() { return solver_.level(0).Ax; }
 
   /// Level masks over the finest solver grid: bricks wholly inside
   /// the patch (covered) and the complement (uncovered).
@@ -100,7 +103,7 @@ class AmrHierarchy {
   InterfaceGeometry geom_;
   std::unique_ptr<BrickMask> covered_;
   std::unique_ptr<BrickMask> uncovered_;
-  BrickedArray xH_, bH_, rH_, AxH_;
+  BrickedArray xH_, bH_;
   MgLevel patch_;
   std::unique_ptr<comm::PatchExchange> pexch_;
   bool detached_ = false;

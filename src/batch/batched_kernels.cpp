@@ -13,6 +13,7 @@
 #include "exec/runtime.hpp"
 #include "gmg/operators.hpp"
 #include "gmg/operators_varcoef.hpp"
+#include "gmg/star7.hpp"
 #include "trace/trace.hpp"
 
 namespace gmg::batch {
@@ -133,21 +134,6 @@ void descent_pass_b(BD, const char* name, const BrickGrid& fg,
   });
 }
 
-/// Tap cover check in BASE bricks (ghost depth is one base brick on the
-/// stretched storage exactly as on solo storage).
-template <typename BD>
-void require_taps_in_grid(BD, const BrickGrid& grid, const Box& active,
-                          index_t radius) {
-  const Box tap_region{{floor_div(active.lo.x - radius, BD::bx),
-                        floor_div(active.lo.y - radius, BD::by),
-                        floor_div(active.lo.z - radius, BD::bz)},
-                       {floor_div(active.hi.x - 1 + radius, BD::bx) + 1,
-                        floor_div(active.hi.y - 1 + radius, BD::by) + 1,
-                        floor_div(active.hi.z - 1 + radius, BD::bz) + 1}};
-  GMG_REQUIRE(grid.extended_box().covers(tap_region),
-              "stencil taps reach beyond the ghost bricks");
-}
-
 /// Contiguous interior range in BASE elements (interior bricks are ids
 /// [0, num_interior)); the matching stretched range is K times longer.
 std::int64_t interior_span_base(const BatchedBrickedArray& a) {
@@ -197,114 +183,7 @@ void scratch_reserve(AlignedVec& s, std::int64_t n) {
   }
 }
 
-/// Batched 7-point star — the stretched-storage twin of operators.cpp's
-/// apply_op_7pt. Row pointers carry all K components interleaved; the
-/// SIMD core runs flat over [core_lo*K, core_hi*K) where the x-axis
-/// taps sit at +-K, and the two x-boundary patch-ups loop over
-/// components with the solo tap summation order (xm + xp + ym + yp +
-/// zm + zp) kept identical.
-template <typename BD>
-void apply_op_7pt_b(BD, BatchedBrickedArray Ax, const BatchedBrickedArray& x,
-                    real_t alpha, real_t beta, const Box& active) {
-  const BrickGrid& grid = x.grid();
-  const index_t K = static_cast<index_t>(x.batch());
-  const real_t* __restrict xp = x.data();
-  real_t* __restrict op = Ax.data();
-
-  require_taps_in_grid(BD{}, grid, active, 1);
-  const auto plan = grid.iteration_plan(active, Vec3{BD::bx, BD::by, BD::bz});
-
-  for_each_plan_brick<BD>("kernel.applyOp", *plan, [&](const BrickPlanItem& it,
-                                                       auto full) {
-    constexpr bool kFull = decltype(full)::value;
-    const auto& adj = it.adj;
-    const std::size_t bvol =
-        static_cast<std::size_t>(BD::volume) * static_cast<std::size_t>(K);
-    const auto brick_of = [&](int dx, int dy, int dz) {
-      const std::int32_t b = adj[direction_index(dx, dy, dz)];
-      GMG_ASSERT(b >= 0);
-      return xp + static_cast<std::size_t>(b) * bvol;
-    };
-    const real_t* __restrict xb = xp + static_cast<std::size_t>(it.id) * bvol;
-    real_t* __restrict ob = op + static_cast<std::size_t>(it.id) * bvol;
-
-    const index_t ilo = kFull ? 0 : it.ilo;
-    const index_t ihi = kFull ? BD::bx : it.ihi;
-    const index_t jlo = kFull ? 0 : it.jlo;
-    const index_t jhi = kFull ? BD::by : it.jhi;
-    const index_t klo = kFull ? 0 : it.klo;
-    const index_t khi = kFull ? BD::bz : it.khi;
-
-    constexpr index_t kRow = BD::bx;
-    constexpr index_t kPlane = BD::bx * BD::by;
-    const auto row_at = [&](const real_t* brick, index_t lj, index_t lk) {
-      return brick + (lk * kPlane + lj * kRow) * K;
-    };
-
-    for (index_t lk = klo; lk < khi; ++lk) {
-      for (index_t lj = jlo; lj < jhi; ++lj) {
-        const real_t* __restrict xr = row_at(xb, lj, lk);
-        const real_t* __restrict ym =
-            lj > 0 ? row_at(xb, lj - 1, lk)
-                   : row_at(brick_of(0, -1, 0), BD::by - 1, lk);
-        const real_t* __restrict yp =
-            lj < BD::by - 1 ? row_at(xb, lj + 1, lk)
-                            : row_at(brick_of(0, 1, 0), 0, lk);
-        const real_t* __restrict zm =
-            lk > 0 ? row_at(xb, lj, lk - 1)
-                   : row_at(brick_of(0, 0, -1), lj, BD::bz - 1);
-        const real_t* __restrict zp =
-            lk < BD::bz - 1 ? row_at(xb, lj, lk + 1)
-                            : row_at(brick_of(0, 0, 1), lj, 0);
-        real_t* __restrict orow = ob + (lk * kPlane + lj * kRow) * K;
-
-        const index_t core_lo = kFull ? 1 : std::max<index_t>(ilo, 1);
-        const index_t core_hi =
-            kFull ? BD::bx - 1 : std::min<index_t>(ihi, BD::bx - 1);
-#pragma omp simd
-        for (index_t s = core_lo * K; s < core_hi * K; ++s) {
-          orow[s] = alpha * xr[s] +
-                    beta * (xr[s - K] + xr[s + K] + ym[s] + yp[s] + zm[s] +
-                            zp[s]);
-        }
-        if (kFull || ilo == 0) {
-          const real_t* __restrict nb = row_at(brick_of(-1, 0, 0), lj, lk);
-          for (index_t c = 0; c < K; ++c) {
-            const real_t xm = nb[(BD::bx - 1) * K + c];
-            orow[c] = alpha * xr[c] +
-                      beta * (xm + xr[K + c] + ym[c] + yp[c] + zm[c] + zp[c]);
-          }
-        }
-        if (kFull || ihi == BD::bx) {
-          constexpr index_t e = BD::bx - 1;
-          const real_t* __restrict nb = row_at(brick_of(1, 0, 0), lj, lk);
-          for (index_t c = 0; c < K; ++c) {
-            const index_t ei = e * K + c;
-            const real_t xpv = nb[c];
-            orow[ei] = alpha * xr[ei] +
-                       beta * (xr[ei - K] + xpv + ym[ei] + yp[ei] + zm[ei] +
-                               zp[ei]);
-          }
-        }
-      }
-    }
-  });
-}
-
 }  // namespace
-
-void apply_op(BatchedBrickedArray Ax, const BatchedBrickedArray& x,
-              real_t alpha, real_t beta, const Box& active) {
-  require_compatible(Ax, x);
-  trace::TraceSpan span("kernel.applyOp");
-  count_flops(batch_points(active, x), 8);
-  const auto scope = check::scope_if_enabled(
-      "kernel.applyOp",
-      {check::access(Ax.inner(), stretch_box(active, Ax.batch()))});
-  with_brick_dims(x.base_shape(), [&](auto bd) {
-    apply_op_7pt_b(bd, Ax, x, alpha, beta, active);
-  });
-}
 
 void smooth(BatchedBrickedArray x, const BatchedBrickedArray& Ax,
             const BatchedBrickedArray& b, real_t gamma, const Box& active) {
@@ -668,7 +547,7 @@ void gs_color_sweep(BatchedBrickedArray x, const BatchedBrickedArray& b,
     real_t* __restrict xp = x.data();
     const real_t* __restrict bp = b.data();
 
-    require_taps_in_grid(bd, grid, active, 1);
+    gmg::detail::require_taps_in_grid(bd, grid, active, 1);
     const auto plan =
         grid.iteration_plan(active, Vec3{BD::bx, BD::by, BD::bz});
 

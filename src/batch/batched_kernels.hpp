@@ -16,7 +16,9 @@
 // plain kernel there hands a K-wide field (components() > 1) to its
 // twin here, so the multigrid schedule never branches on K. Kernels
 // whose plain form already covers K-wide storage (init_zero,
-// copy_interior: whole contiguous spans) have no twin.
+// copy_interior: whole contiguous spans) or that run one body at
+// component stride K (apply_op and the one-pass Jacobi sweep,
+// gmg/star7.hpp) have no twin.
 #pragma once
 
 #include "batch/batched_array.hpp"
@@ -27,12 +29,8 @@
 
 namespace gmg::batch {
 
-/// Ax = alpha*x + beta * (6-point neighbor sum), all K components,
-/// over `active` (base cell coordinates throughout this header).
-void apply_op(BatchedBrickedArray Ax, const BatchedBrickedArray& x,
-              real_t alpha, real_t beta, const Box& active);
-
-/// x += gamma * (Ax - b).
+/// x += gamma * (Ax - b), all K components, over `active` (base cell
+/// coordinates throughout this header).
 void smooth(BatchedBrickedArray x, const BatchedBrickedArray& Ax,
             const BatchedBrickedArray& b, real_t gamma, const Box& active);
 
@@ -144,9 +142,6 @@ void cheby_p_update_varcoef(BatchedBrickedArray p,
 // kernel's — per-base-cell reads and writes are identical, only the
 // innermost component fold differs.
 
-constexpr check::EffectSummary apply_op_effects(int radius) {
-  return ::gmg::apply_op_effects(radius);
-}
 constexpr check::EffectSummary smooth_effects() {
   return ::gmg::smooth_effects();
 }

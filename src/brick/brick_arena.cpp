@@ -37,6 +37,20 @@ void BrickArena::release(BrickedArray&& a) {
   pool_[storage.size()].push_back(std::move(storage));
 }
 
+bool BrickArena::discard(std::size_t elements) {
+  AlignedBuffer<real_t> dropped;  // freed after the lock is released
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = pool_.find(elements);
+  if (it == pool_.end()) return false;
+  dropped = std::move(it->second.back());
+  it->second.pop_back();
+  if (it->second.empty()) pool_.erase(it);
+  stats_.pooled_bytes -= elements * sizeof(real_t);
+  stats_.pooled_buffers -= 1;
+  ++stats_.discarded;
+  return true;
+}
+
 void BrickArena::trim(std::size_t max_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   while (stats_.pooled_bytes > max_bytes && !pool_.empty()) {

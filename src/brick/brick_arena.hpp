@@ -39,6 +39,12 @@ class BrickArena {
   /// (default-constructed or already taken) are ignored.
   void release(BrickedArray&& a);
 
+  /// Drop one pooled buffer of exactly `elements` elements — a parked
+  /// field of a hierarchy that will never re-attach. Returns false when
+  /// none of that size is pooled (a request holds those pages now and
+  /// parks them under its own hierarchy).
+  bool discard(std::size_t elements);
+
   /// Drop pooled buffers (largest first) until the pool holds at most
   /// `max_bytes`. Does not touch storage currently checked out.
   void trim(std::size_t max_bytes);
@@ -48,6 +54,7 @@ class BrickArena {
     std::uint64_t hits = 0;       // acquires served from the pool
     std::uint64_t releases = 0;   // buffers returned
     std::uint64_t trimmed = 0;    // buffers dropped by trim()
+    std::uint64_t discarded = 0;  // buffers dropped by discard()
     std::size_t pooled_buffers = 0;
     std::size_t pooled_bytes = 0;
 

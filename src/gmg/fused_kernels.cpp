@@ -2,11 +2,14 @@
 
 #include <cmath>
 #include <limits>
+#include <type_traits>
+#include <vector>
 
 #include "batch/batched_kernels.hpp"
 #include "brick/brick_plan.hpp"
 #include "check/shadow.hpp"
 #include "exec/runtime.hpp"
+#include "gmg/star7.hpp"
 #include "trace/trace.hpp"
 
 namespace gmg::fused {
@@ -196,6 +199,66 @@ void smooth_residual_restrict_varcoef(BrickedArray& x, BrickedArray& r,
                      xp[o + i] += (-omega / dp[o + i]) * (ax - rhs);
                    }
                  });
+  });
+}
+
+void jacobi_sweep(BrickedArray& x_next, BrickedArray* r, const BrickedArray& x,
+                  const BrickedArray& b, real_t alpha, real_t beta,
+                  real_t gamma, const Box& active) {
+  const BrickGrid& grid = x.grid();
+  const auto same_layout = [&](const BrickedArray& f) {
+    return &f.grid() == &grid && f.shape() == x.shape();
+  };
+  GMG_REQUIRE(same_layout(x_next) && same_layout(b) &&
+                  (r == nullptr || same_layout(*r)),
+              "jacobi_sweep fields must share a brick grid and layout");
+  GMG_REQUIRE(x_next.data() != x.data(),
+              "jacobi_sweep writes the next iterate into a second buffer");
+  const int k = x.components();
+  // applyOp's 8 flops plus the update's 3 (4 with the residual), per
+  // cell and component.
+  trace::TraceSpan span("kernel.jacobiSweep");
+  count_flops(box_points(active) * static_cast<std::uint64_t>(k),
+              r != nullptr ? 12 : 11);
+  const Box written = batch::stretch_box(active, k);
+  std::vector<check::Access> writes{check::access(x_next, written)};
+  if (r != nullptr) writes.push_back(check::access(*r, written));
+  const auto scope =
+      check::scope_if_enabled("kernel.jacobiSweep", std::move(writes));
+
+  const real_t* __restrict xp = x.data();
+  const real_t* __restrict bp = b.data();
+  real_t* __restrict np = x_next.data();
+  real_t* __restrict rp = r != nullptr ? r->data() : nullptr;
+  with_brick_dims(x.base_shape(), [&](auto bd) {
+    using BD = decltype(bd);
+    detail::require_taps_in_grid(bd, grid, active, 1);
+    const auto plan = grid.iteration_plan(active, Vec3{BD::bx, BD::by, BD::bz});
+    const auto sweep = [&](auto stride, auto with_residual) {
+      for_each_plan_brick<BD>(
+          "kernel.jacobiSweep", *plan, [&](const BrickPlanItem& it, auto full) {
+            detail::star7_brick<BD, decltype(full)::value>(
+                it, xp, stride, alpha, beta, [&](std::size_t e, real_t ax) {
+                  const real_t rhs = bp[e];
+                  if constexpr (decltype(with_residual)::value) {
+                    rp[e] = rhs - ax;
+                  }
+                  np[e] = xp[e] + gamma * (ax - rhs);
+                });
+          });
+    };
+    const auto with_stride = [&](auto with_residual) {
+      if (k == 1) {
+        sweep(detail::UnitStride{}, with_residual);
+      } else {
+        sweep(static_cast<index_t>(k), with_residual);
+      }
+    };
+    if (rp != nullptr) {
+      with_stride(std::true_type{});
+    } else {
+      with_stride(std::false_type{});
+    }
   });
 }
 

@@ -76,6 +76,21 @@ void smooth_residual_restrict_varcoef(BrickedArray& x, BrickedArray& r,
                                       const BrickedArray& diag, real_t omega,
                                       const Box& active);
 
+/// One-pass Jacobi sweep: per cell of `active`,
+///   ax = alpha * x + beta * (xm + xp + ym + yp + zm + zp)
+///   r = b - ax                    (only when `r` is non-null)
+///   x_next = x + gamma * (ax - b)
+/// with ax kept in registers instead of a stored Ax field. `x_next` is
+/// a second buffer of x's layout — the solver ping-pongs x with the
+/// level's Ax field, so sweeps need no extra storage — and only its
+/// `active` cells are written. The arithmetic and tap order equal
+/// apply_op followed by smooth / smooth_residual, so the result is
+/// bitwise identical to that pair, CA ghost cells included. Fields of
+/// any width: a K-wide field runs the same body at stride K.
+void jacobi_sweep(BrickedArray& x_next, BrickedArray* r, const BrickedArray& x,
+                  const BrickedArray& b, real_t alpha, real_t beta,
+                  real_t gamma, const Box& active);
+
 /// Fused GS descent tail: r = b - Ax over the full interior plus the
 /// per-brick restriction into `coarse_b`, one pass per fine brick.
 void residual_restrict(BrickedArray& r, BrickedArray& coarse_b,
@@ -121,6 +136,19 @@ constexpr check::EffectSummary smooth_residual_restrict_varcoef_effects() {
       .reads("Ax")
       .reads("b")
       .reads("diag");
+}
+
+/// The sweep reads x at the star's radius and writes the next iterate
+/// into its ping-pong partner, which the caller then binds to `x`
+/// (the schedule records that write as the new x). The partner's old
+/// contents are gone after the swap; no step reads Ax before an
+/// applyOp rewrites it.
+constexpr check::EffectSummary jacobi_sweep_effects() {
+  return check::EffectSummary("kernel.jacobiSweep")
+      .writes("x_next")
+      .writes("r")
+      .reads("x", 1)
+      .reads("b");
 }
 
 constexpr check::EffectSummary residual_restrict_effects() {

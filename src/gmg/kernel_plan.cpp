@@ -1,6 +1,7 @@
 #include "gmg/kernel_plan.hpp"
 
 #include <array>
+#include <utility>
 
 #include "batch/apply_batch.hpp"
 #include "dsl/apply_brick.hpp"
@@ -12,6 +13,7 @@
 #include "gmg/operators.hpp"
 #include "gmg/operators_varcoef.hpp"
 #include "gmg/solver.hpp"
+#include "perf/profiler.hpp"
 
 namespace gmg {
 
@@ -113,6 +115,40 @@ void resolve_level_kernels(const GmgOptions& opts, MgLevel& lev) {
                                                const Box& active) {
       fused::smooth_residual_restrict(L->x, L->r, coarse_b, L->Ax, L->b,
                                       gamma, active);
+    };
+  }
+
+  // One Jacobi sweep: the one-pass kernel where the level qualifies,
+  // otherwise the split applyOp + smooth(+residual) pair through the
+  // bindings above. The one-pass form swaps x with Ax and leaves no
+  // A x behind, so the final descent sweep (whose restriction tail
+  // reads Ax) and patch smoothing (amr/composite_solver.cpp, which
+  // keeps prolonged interface ghosts in x's own buffer) call the
+  // split bindings directly.
+  plan.fuse_sweep = opts.fuse_stages && jacobi && !lev.varcoef &&
+                    lev.radius == 1 && !opts.use_generated_kernels;
+  if (plan.fuse_sweep) {
+    const real_t gamma = -weight / lev.alpha;
+    plan.jacobi_sweep = [L, gamma](perf::Profiler& prof, const Box& active,
+                                   bool with_residual) {
+      prof.timed(L->level, perf::Phase::kFusedSweep, [&] {
+        fused::jacobi_sweep(L->Ax, with_residual ? &L->r : nullptr, L->x,
+                            L->b, L->alpha, L->beta, gamma, active);
+      });
+      std::swap(L->x, L->Ax);
+    };
+  } else {
+    plan.jacobi_sweep = [L](perf::Profiler& prof, const Box& active,
+                            bool with_residual) {
+      prof.timed(L->level, perf::Phase::kApplyOp,
+                 [&] { L->plan.apply(L->Ax, L->x, active); });
+      if (with_residual) {
+        prof.timed(L->level, perf::Phase::kSmoothResidual,
+                   [&] { L->plan.smooth_residual(active); });
+      } else {
+        prof.timed(L->level, perf::Phase::kSmooth,
+                   [&] { L->plan.smooth(active); });
+      }
     };
   }
 

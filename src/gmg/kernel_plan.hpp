@@ -17,6 +17,11 @@
 //   - Chebyshev: the recurrence needs r on every sweep and updates x
 //     *after* r, so the split path stays; only the residual+norm
 //     fusion applies.
+// Every other Jacobi sweep of a constant-coefficient, radius-1,
+// non-generated level also evaluates A x inside the smoother update
+// (fuse_sweep): one pass per sweep instead of applyOp plus
+// smooth(+residual), writing the next iterate into the level's Ax
+// field and swapping the two.
 // Fused results are bitwise identical to the split path (the kernels
 // replicate the split per-element arithmetic verbatim; see
 // fused_kernels.hpp).
@@ -36,6 +41,9 @@ namespace gmg {
 namespace comm {
 class Communicator;
 }
+namespace perf {
+class Profiler;
+}
 
 class GmgSolver;
 struct MgLevel;
@@ -52,6 +60,10 @@ struct KernelPlan {
   /// every smoother: fp max is exactly associative, and the reduction
   /// reuses the split max_norm's chunk plan).
   bool fuse_norm = false;
+  /// Jacobi sweeps evaluate A x inside the update (jacobi_sweep below
+  /// is the one-pass kernel): constant-coefficient, radius-1,
+  /// non-generated Jacobi-family levels only.
+  bool fuse_sweep = false;
 
   /// Jacobi damping: 0.5 for kPointJacobi, opts.jacobi_weight for
   /// kWeightedJacobi (resolved once; sweeps stop re-deriving it).
@@ -80,6 +92,16 @@ struct KernelPlan {
   std::function<void(const Box& active)> smooth;
   /// x-update + r = b - Ax (split descent / non-final sweeps).
   std::function<void(const Box& active)> smooth_residual;
+  /// One Jacobi sweep over `active` (all but a fused final descent
+  /// sweep): x += gamma * (A x - b), plus r = b - A x when
+  /// `with_residual`. With fuse_sweep it is one pass that writes the
+  /// next iterate into Ax and swaps x with Ax (timed as kFusedSweep);
+  /// otherwise it runs `apply` then `smooth` / `smooth_residual`
+  /// (timed as kApplyOp and kSmooth / kSmoothResidual). Either way
+  /// only `active` of x changes.
+  std::function<void(perf::Profiler& prof, const Box& active,
+                     bool with_residual)>
+      jacobi_sweep;
   /// Fused final sweep: x-update + residual + restriction of r into
   /// the coarse RHS, one pass per fine brick.
   std::function<void(BrickedArray& coarse_b, const Box& active)>

@@ -183,10 +183,26 @@ void ScheduleWalker::jacobi_sweeps(int l, int iterations, bool with_residual,
       exchange_for_smooth(l);
       ls.margin = 0;
     }
+    const bool last = it == iterations - 1;
+    const bool residual_now = with_residual && last;
+    const bool fuse_final =
+        with_residual && restrict_to_coarse && L.plan.fuse_descent && last;
+    if (!fuse_final && L.plan.fuse_sweep) {
+      // One-pass sweep: the next iterate lands in the Ax buffer, which
+      // the swap then binds to x — recorded as the write of the new x.
+      check::ScheduleStep& step =
+          rec_.kernel("kernel.jacobiSweep", l, fused::jacobi_sweep_effects());
+      step.accesses.push_back(write_access("x", l, active, "x_next"));
+      if (residual_now)
+        step.accesses.push_back(write_access("r", l, active, "r"));
+      step.accesses.push_back(
+          read_access("x", l, active, static_cast<int>(radius), "x"));
+      step.accesses.push_back(read_access("b", l, active, 0, "b"));
+      if (ca()) ls.margin -= radius;
+      continue;
+    }
     apply_op(l, active, "x", "Ax");
 
-    const bool fuse_final = with_residual && restrict_to_coarse &&
-                            L.plan.fuse_descent && it == iterations - 1;
     if (fuse_final) {
       check::ScheduleStep& step = rec_.kernel(
           L.varcoef ? "kernel.fusedDescentVarCoef" : "kernel.fusedDescent", l,
@@ -202,7 +218,7 @@ void ScheduleWalker::jacobi_sweeps(int l, int iterations, bool with_residual,
       if (L.varcoef)
         step.accesses.push_back(read_access("diag", l, active, 0, "diag"));
       add_chunk_writes(step, l, active);
-    } else if (with_residual) {
+    } else if (residual_now) {
       check::ScheduleStep& step = rec_.kernel(
           L.varcoef ? "kernel.smoothResidualVarCoef" : "kernel.smoothResidual",
           l,
@@ -431,7 +447,7 @@ void ScheduleWalker::cycle_at(int l) {
   interp.accesses.push_back(
       read_access("x", l + 1, lev(l + 1).interior(), 0, "coarse"));
   st_[static_cast<std::size_t>(l)].margin = 0;
-  smooth_level(l, s_.options().smooths, /*with_residual=*/true,
+  smooth_level(l, s_.options().smooths, /*with_residual=*/false,
                /*restrict_to_coarse=*/false);
 }
 

@@ -263,23 +263,29 @@ void GmgSolver::set_rhs(const RhsFunction* fs, int width) {
   retired_solutions_.clear();
 }
 
-void GmgSolver::detach_field_storage(BrickArena& arena) {
-  if (storage_detached_) return;
+std::vector<std::size_t> GmgSolver::detach_field_storage(BrickArena& arena) {
+  std::vector<std::size_t> parked;
+  if (storage_detached_) return parked;
+  const auto park = [&](BrickedArray& f) {
+    if (f.size() == 0) return;
+    parked.push_back(f.size());
+    arena.release(std::move(f));
+  };
   for (MgLevel& lev : levels_) {
-    arena.release(std::move(lev.x));
-    arena.release(std::move(lev.b));
-    arena.release(std::move(lev.Ax));
-    arena.release(std::move(lev.r));
-    if (lev.p.size() != 0) arena.release(std::move(lev.p));
+    park(lev.x);
+    park(lev.b);
+    park(lev.Ax);
+    park(lev.r);
+    park(lev.p);
     // coef/diag describe the operator, not one solve — they stay, like
     // the grids, exchange engines and iteration plans.
   }
   storage_detached_ = true;
+  return parked;
 }
 
 void GmgSolver::attach_field_storage(BrickArena& arena, int k) {
   if (!storage_detached_ && k == batch()) return;
-  detach_field_storage(arena);
   allocate_fields(k, &arena);
   prove_width();
 }
@@ -443,25 +449,22 @@ void GmgSolver::jacobi_sweeps(comm::Communicator& comm, MgLevel& lev,
       exchange_for_smooth(comm, lev);
       lev.margin = 0;
     }
-    profiler_.timed(lev.level, perf::Phase::kApplyOp,
-                    [&] { apply_operator(lev, lev.Ax, lev.x, active); });
-    // On the FINAL descent sweep the fused plan folds the restriction
-    // of the just-computed residual into the same pass over each fine
+    // Only the last sweep's residual is read (by the restriction);
+    // earlier sweeps skip it. On the FINAL descent sweep the fused
+    // plan folds that restriction into the same pass over each fine
     // brick (one pass instead of smooth+residual then restriction).
-    // Earlier sweeps overwrite r anyway, so only the last one feeds
-    // the coarse RHS.
+    const bool last = it == iterations - 1;
     const bool fuse_final = with_residual && restrict_to != nullptr &&
-                            lev.plan.fuse_descent && it == iterations - 1;
+                            lev.plan.fuse_descent && last;
     if (fuse_final) {
+      profiler_.timed(lev.level, perf::Phase::kApplyOp,
+                      [&] { apply_operator(lev, lev.Ax, lev.x, active); });
       profiler_.timed(lev.level, perf::Phase::kFusedDescent, [&] {
         lev.plan.smooth_residual_restrict(*restrict_to, active);
       });
-    } else if (with_residual) {
-      profiler_.timed(lev.level, perf::Phase::kSmoothResidual,
-                      [&] { lev.plan.smooth_residual(active); });
     } else {
-      profiler_.timed(lev.level, perf::Phase::kSmooth,
-                      [&] { lev.plan.smooth(active); });
+      // One-pass or split, as the plan bound it (kernel_plan.hpp).
+      lev.plan.jacobi_sweep(profiler_, active, with_residual && last);
     }
     if (opts_.communication_avoiding) lev.margin -= radius;
   }
@@ -619,7 +622,9 @@ void GmgSolver::cycle_at(comm::Communicator& comm, int l) {
   profiler_.timed(l, perf::Phase::kInterpIncrement,
                   [&] { interpolation_increment(lev.x, coarse.x); });
   lev.margin = 0;  // interior changed; ghosts are stale
-  smooth_level(comm, lev, opts_.smooths, /*with_residual=*/true);
+  // Post-smoothing leaves no residual: nothing reads r before the next
+  // descent or convergence check rewrites it.
+  smooth_level(comm, lev, opts_.smooths, /*with_residual=*/false);
 }
 
 void GmgSolver::vcycle(comm::Communicator& comm) {

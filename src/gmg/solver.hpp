@@ -216,12 +216,16 @@ class GmgSolver {
   /// engines, cached iteration plans, and the variable-coefficient
   /// operator (coef/diag) stay resident. The serve layer parks cached
   /// hierarchies this way so idle entries hold no field memory.
-  void detach_field_storage(BrickArena& arena);
+  /// Returns the element count of each buffer parked (none when
+  /// already detached): an owner that drops the hierarchy takes those
+  /// pages out of the pool with BrickArena::discard.
+  std::vector<std::size_t> detach_field_storage(BrickArena& arena);
 
   /// Re-acquire the detached fields from `arena` at width `k` (zeroed,
   /// so a following set_rhs()/solve() behaves exactly like a fresh
   /// solver). No-op when fields of width k are already attached;
-  /// attached fields of another width go back to the arena first.
+  /// attached fields of another width are freed, not parked (no owner
+  /// would take them back).
   void attach_field_storage(BrickArena& arena, int k = 1);
 
   /// Whether the per-solve fields are currently detached.

@@ -34,6 +34,10 @@ enum class Phase : int {
   /// kSmoothResidual + kRestriction pair (Jacobi) or a kResidual +
   /// kRestriction pair (GS tail) when fusion is on.
   kFusedDescent,
+  /// One-pass Jacobi sweep (DESIGN.md §16): A x evaluated inside the
+  /// smoother update — replaces a kApplyOp + kSmooth or
+  /// kApplyOp + kSmoothResidual pair on fused Jacobi levels.
+  kFusedSweep,
   kInterpIncrement,
   kInitZero,
   kMaxNorm,

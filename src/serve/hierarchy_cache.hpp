@@ -11,7 +11,9 @@
 // BrickArena (arena lifetime rule: the cache owns hierarchy skeletons,
 // the arena owns idle field pages; a checked-out request owns both).
 // Beyond `capacity` idle entries the least-recently-used is evicted —
-// its skeleton is freed, its already-detached pages stay pooled.
+// its skeleton is freed and its parked pages leave the arena, so the
+// pool holds at most the pages of the idle entries plus those of
+// requests in flight.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +42,12 @@ struct CachedHierarchy {
   /// per hierarchy (it is keyed state, like the stencil).
   bool coefficient_set = false;
   std::uint64_t last_used_ns = 0;
+  /// Element counts of the field buffers the solvers parked in the
+  /// arena at the last release, and the width they ran at: a same-width
+  /// attach takes them back; another width or an eviction discards
+  /// them, so the pool never keeps pages no entry will re-attach.
+  std::vector<std::size_t> parked;
+  int parked_width = 1;
 
   CachedHierarchy(std::string k, const CartDecomp& d, const GmgOptions& o)
       : key(std::move(k)), decomp(d), options(o) {}
@@ -80,6 +88,9 @@ class HierarchyCache {
   Stats stats() const;
 
  private:
+  /// Drop the pages `entry` parked from the arena's pool.
+  void discard_parked(CachedHierarchy& entry);
+
   mutable std::mutex mu_;
   std::size_t capacity_;
   BrickArena* arena_;

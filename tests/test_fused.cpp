@@ -3,21 +3,32 @@
 // residual+max-norm convergence checks, and the GS residual tail —
 // must be BITWISE identical to the split schedule, across smoothers,
 // coefficients (constant and variable), brick dims, worker counts, and
-// batched K-way solves. Plus the footprint machinery: the fused union
-// footprint is derived constexpr and static_assert-ed, GMG_CHECK sees
-// only the declared boxes during a fused run, and a seeded undersized-
-// ghost configuration is rejected at setup.
+// batched K-way solves. The one-pass Jacobi sweep must match applyOp
+// followed by smooth(+residual) bitwise, over clipped ghost bricks and
+// at any width, and never read its ping-pong partner. Plus the
+// footprint machinery: the fused union footprint is derived constexpr
+// and static_assert-ed, GMG_CHECK sees only the declared boxes during a
+// fused run, and seeded undersized-ghost configurations and schedules
+// are rejected at setup.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "check/footprint.hpp"
+#include "check/schedule.hpp"
 #include "check/shadow.hpp"
+#include "common/rng.hpp"
 #include "exec/runtime.hpp"
 #include "gmg/fused_kernels.hpp"
 #include "gmg/operators.hpp"
+#include "gmg/schedule_audit.hpp"
 #include "gmg/solver.hpp"
 #include "tests/test_util.hpp"
 
@@ -355,6 +366,214 @@ TEST(FusedSeededBug, OddBrickDimsRejectedByFusedSetupGuard) {
   // the guard fires even when the footprint itself would fit.
   EXPECT_THROW(fused::require_fused_fits(BrickShape{3, 3, 3}), Error);
   EXPECT_NO_THROW(fused::require_fused_fits(BrickShape::cube(2)));
+}
+
+// ---- one-pass Jacobi sweep --------------------------------------------------
+
+/// Random values over a field's whole storage, ghost bricks included.
+void randomize_storage(BrickedArray& f, std::uint64_t seed) {
+  Rng rng(seed);
+  real_t* p = f.data();
+  for (std::size_t i = 0; i < f.size(); ++i) p[i] = rng.uniform();
+}
+
+void copy_storage(BrickedArray& dst, const BrickedArray& src) {
+  ASSERT_EQ(dst.size(), src.size());
+  std::memcpy(dst.data(), src.data(), src.size() * sizeof(real_t));
+}
+
+struct SweepCase {
+  index_t bdim;
+  int k;
+};
+
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << "brick " << c.bdim << ", K=" << c.k;
+}
+
+class JacobiSweepVsSplit : public ::testing::TestWithParam<SweepCase> {};
+
+TEST_P(JacobiSweepVsSplit, BitwiseIdenticalToApplyThenSmooth) {
+  // The one-pass sweep against apply_op followed by smooth /
+  // smooth_residual on the same data: over the interior and over the
+  // CA-grown box whose edge bricks are clipped ghost bricks, with and
+  // without the residual, at point and weighted Jacobi damping.
+  const SweepCase sc = GetParam();
+  const Vec3 n{16, 16, 16};
+  const BrickShape shape = BrickShape::cube(sc.bdim);
+  const auto grid = std::make_shared<BrickGrid>(
+      Vec3{n.x / sc.bdim, n.y / sc.bdim, n.z / sc.bdim});
+  const auto field = [&] { return BrickedArray::wide(grid, shape, sc.k); };
+  BrickedArray x0 = field();
+  BrickedArray b = field();
+  randomize_storage(x0, 1);
+  randomize_storage(b, 2);
+  const real_t alpha = -6.0 * 256.0, beta = 256.0;  // h = 1/16
+  const Box interior = Box::from_extent(n);
+  for (const index_t grow_by : {index_t{0}, sc.bdim - 1}) {
+    const Box active = grow(interior, grow_by);
+    for (const real_t weight : {real_t{0.5}, real_t{2.0 / 3.0}}) {
+      const real_t gamma = -weight / alpha;
+      for (const bool with_r : {false, true}) {
+        SCOPED_TRACE("grown by " + std::to_string(grow_by) + ", weight " +
+                     std::to_string(weight) +
+                     (with_r ? ", residual" : ", no residual"));
+        BrickedArray xs = field(), Ax = field(), rs = field();
+        copy_storage(xs, x0);
+        randomize_storage(rs, 3);
+        apply_op(Ax, xs, alpha, beta, active);
+        if (with_r) {
+          smooth_residual(xs, rs, Ax, b, gamma, active);
+        } else {
+          smooth(xs, Ax, b, gamma, active);
+        }
+
+        BrickedArray xf = field(), next = field(), rf = field();
+        copy_storage(xf, x0);
+        randomize_storage(rf, 3);
+        fused::jacobi_sweep(next, with_r ? &rf : nullptr, xf, b, alpha, beta,
+                            gamma, active);
+
+        int failures = 0;
+        for_each(active, [&](index_t i, index_t j, index_t k) {
+          for (int c = 0; c < sc.k; ++c) {
+            if (next.at(i, j, k, c) != xs.at(i, j, k, c) && failures++ < 3) {
+              ADD_FAILURE() << "x diverges at (" << i << ',' << j << ',' << k
+                            << ") component " << c;
+            }
+          }
+        });
+        ASSERT_EQ(failures, 0);
+        // r matches everywhere (written on `active`, untouched
+        // elsewhere), and the input iterate is left as it was.
+        ASSERT_EQ(std::memcmp(rf.data(), rs.data(), rs.size() * sizeof(real_t)),
+                  0);
+        ASSERT_EQ(std::memcmp(xf.data(), x0.data(), x0.size() * sizeof(real_t)),
+                  0);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, JacobiSweepVsSplit,
+    ::testing::Values(SweepCase{2, 1}, SweepCase{2, 3}, SweepCase{2, 4},
+                      SweepCase{4, 1}, SweepCase{4, 3}, SweepCase{4, 4},
+                      SweepCase{8, 1}, SweepCase{8, 3}, SweepCase{8, 4}),
+    [](const ::testing::TestParamInfo<SweepCase>& info) {
+      return "b" + std::to_string(info.param.bdim) + "_k" +
+             std::to_string(info.param.k);
+    });
+
+/// A solve's residual history and every component's solution.
+struct SolveOut {
+  std::vector<std::vector<real_t>> history;
+  std::vector<std::vector<real_t>> sol;
+};
+
+SolveOut solve_k(comm::Communicator& c, const GmgOptions& o, int k,
+                 bool poison_partner) {
+  const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
+  GmgSolver solver(o, decomp, 0);
+  const RhsFunction rhs[] = {sine_rhs, rhs_b, rhs_c};
+  std::vector<RhsFunction> fs;
+  for (int i = 0; i < k; ++i) fs.emplace_back(rhs[i % 3]);
+  solver.set_rhs(fs);
+  if (poison_partner) {
+    // Whatever the ping-pong partner holds before a sweep must not
+    // reach the result: only the sweep's `active` box of it is read
+    // back, and the sweep writes all of that box first.
+    for (int l = 0; l < solver.num_levels(); ++l) {
+      MgLevel& lev = solver.level(l);
+      lev.plan.jacobi_sweep = [&lev, inner = lev.plan.jacobi_sweep](
+                                  perf::Profiler& prof, const Box& active,
+                                  bool with_residual) {
+        lev.Ax.fill(std::nan(""));
+        inner(prof, active, with_residual);
+      };
+    }
+  }
+  std::vector<SolveSpec> specs(static_cast<std::size_t>(k));
+  for (auto& sp : specs) sp.max_vcycles = 4;
+  SolveOut out;
+  for (const SolveResult& r : solver.solve(c, specs))
+    out.history.push_back(r.history);
+  for (int comp = 0; comp < k; ++comp) out.sol.push_back(solver.solution(comp));
+  return out;
+}
+
+TEST(JacobiSweep, PoisonedPingPongPartnerLeavesSolveBitwiseUnchanged) {
+  comm::World world(1);
+  world.run([&](comm::Communicator& c) {
+    for (const index_t bdim : {index_t{2}, index_t{4}}) {
+      for (const int k : {1, 3}) {
+        SCOPED_TRACE("brick " + std::to_string(bdim) + ", K=" +
+                     std::to_string(k));
+        const GmgOptions o = base_options(bdim, Smoother::kWeightedJacobi);
+        const SolveOut clean = solve_k(c, o, k, /*poison_partner=*/false);
+        const SolveOut poisoned = solve_k(c, o, k, /*poison_partner=*/true);
+        for (int comp = 0; comp < k; ++comp) {
+          const std::size_t cc = static_cast<std::size_t>(comp);
+          ASSERT_EQ(clean.history[cc], poisoned.history[cc]);
+          ASSERT_FALSE(std::isnan(poisoned.history[cc].back()));
+          ASSERT_EQ(std::memcmp(clean.sol[cc].data(), poisoned.sol[cc].data(),
+                                clean.sol[cc].size() * sizeof(real_t)),
+                    0)
+              << "component " << comp;
+        }
+      }
+    }
+  });
+}
+
+TEST(JacobiSweep, CheckedVcyclesAreHazardClean) {
+  // The sweep declares its writes (the partner buffer and r) like
+  // every other kernel; checked V-cycles at K = 1 and K = 3 record no
+  // hazard.
+  check::set_enabled(true);
+  check::reset();
+  comm::World world(1);
+  world.run([&](comm::Communicator& c) {
+    GmgOptions o = base_options(4, Smoother::kPointJacobi);
+    o.fuse_stages = true;
+    for (const int k : {1, 3}) solve_k(c, o, k, /*poison_partner=*/false);
+  });
+  EXPECT_TRUE(check::hazards().empty());
+  EXPECT_NO_THROW(check::require_clean("one-pass Jacobi sweeps"));
+  check::reset();
+  check::set_enabled(false);
+}
+
+TEST(JacobiSweepSeededBug, SweepReadingPastValidGhostsRejected) {
+  // Seeded schedule bug: one recorded sweep reads one layer deeper
+  // than the exchange before it filled. The verifier must reject the
+  // schedule and name the sweep. GMG_FUSE_STAGES is held unset so the
+  // schedule has sweeps to mutate.
+  const char* env = std::getenv("GMG_FUSE_STAGES");
+  const std::string saved = env != nullptr ? env : "";
+  unsetenv("GMG_FUSE_STAGES");
+  const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
+  GmgSolver solver(base_options(4, Smoother::kPointJacobi), decomp, 0);
+  if (env != nullptr) setenv("GMG_FUSE_STAGES", saved.c_str(), 1);
+
+  check::Schedule sched = record_solver_schedule(solver);
+  EXPECT_TRUE(check::ScheduleVerifier().check(sched).empty());
+  const auto it = std::find_if(
+      sched.steps.begin(), sched.steps.end(), [](const check::ScheduleStep& s) {
+        return s.kernel == "kernel.jacobiSweep";
+      });
+  ASSERT_NE(it, sched.steps.end()) << "no one-pass sweep in the schedule";
+  for (check::StepAccess& a : it->accesses) {
+    if (!a.write && a.field == "x") a.box = grow(a.box, 1);
+  }
+  const std::vector<std::string> diags = check::ScheduleVerifier().check(sched);
+  ASSERT_FALSE(diags.empty()) << "deep sweep read was not rejected";
+  EXPECT_NE(diags.front().find("kernel.jacobiSweep"), std::string::npos)
+      << diags.front();
+  EXPECT_NE(diags.front().find("ghost layer(s) deep but only"),
+            std::string::npos)
+      << diags.front();
+  EXPECT_THROW(check::ScheduleVerifier().verify(sched), Error);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "gmg/operators.hpp"
 #include "gmg/solver.hpp"
@@ -94,6 +95,41 @@ TEST(GaussSeidelSmoother, ConvergesFasterThanJacobi) {
     jac.set_rhs(sine_rhs);
     const SolveResult rj = jac.solve(c);
     EXPECT_LT(rg.vcycles, rj.vcycles);
+  });
+}
+
+TEST(GaussSeidelSmoother, PostSmoothingRunsNoResidualTail) {
+  // Only descent smoothing leaves a residual, for the restriction that
+  // follows it. Post-smoothing leaves none: the next descent or
+  // convergence check rewrites r before anything reads it. So one
+  // V-cycle applies the operator once per non-bottom level (the
+  // descent tail) and, with fusion, folds that level's residual into
+  // the restriction.
+  const CartDecomp decomp({32, 32, 32}, {1, 1, 1});
+  comm::World world(1);
+  world.run([&](comm::Communicator& c) {
+    for (const bool fuse : {true, false}) {
+      GmgOptions o = gs_options();
+      o.fuse_stages = fuse;
+      GmgSolver solver(o, decomp, 0);
+      solver.set_rhs(sine_rhs);
+      solver.vcycle(c);
+      const perf::Profiler& prof = solver.profiler();
+      // A GMG_FUSE_STAGES override wins over the option.
+      const bool fused = solver.options().fuse_stages;
+      for (int l = 0; l < solver.bottom_level(); ++l) {
+        SCOPED_TRACE("level " + std::to_string(l) +
+                     (fused ? " fused" : " split"));
+        ASSERT_TRUE(prof.has(l, perf::Phase::kApplyOp));
+        EXPECT_EQ(prof.stats(l, perf::Phase::kApplyOp).count(), 1u);
+        if (fused) {
+          EXPECT_EQ(prof.stats(l, perf::Phase::kFusedDescent).count(), 1u);
+          EXPECT_FALSE(prof.has(l, perf::Phase::kResidual));
+        } else {
+          EXPECT_EQ(prof.stats(l, perf::Phase::kResidual).count(), 1u);
+        }
+      }
+    }
   });
 }
 

@@ -252,6 +252,34 @@ TEST(SolveService, EvictsLeastRecentlyUsedHierarchy) {
   EXPECT_LE(rep.cache.idle_entries, 1u);
 }
 
+TEST(SolveService, EvictionReleasesParkedPagesFromArena) {
+  // Cache churn: three keys round-robin through a one-entry cache, so
+  // every request misses, builds fresh fields and evicts the previous
+  // hierarchy. The evicted hierarchy's parked pages must leave the
+  // arena with it; otherwise the pool grows by one hierarchy per
+  // eviction.
+  ServeConfig cfg;
+  cfg.executors = 1;
+  cfg.cache_capacity = 1;
+  SolveService service(cfg);
+  const char* const ops[] = {"poisson-a", "poisson-b", "poisson-c"};
+  for (const char* op : ops) service.register_operator(op, small_options());
+
+  SolveRequest req = basic_request();
+  req.domain.global_extent = {16, 16, 16};
+  std::size_t pooled_after_6 = 0;
+  for (int i = 0; i < 30; ++i) {
+    req.operator_id = ops[i % 3];
+    ASSERT_EQ(service.submit(req).get().status, RequestStatus::kDone);
+    if (i + 1 == 6) pooled_after_6 = service.report().arena.pooled_bytes;
+  }
+  const ServiceReport rep = service.report();
+  EXPECT_EQ(rep.cache.misses, 30u);
+  EXPECT_EQ(rep.cache.evictions, 29u);
+  EXPECT_GT(pooled_after_6, 0u);
+  EXPECT_EQ(rep.arena.pooled_bytes, pooled_after_6);
+}
+
 TEST(SolveService, QueueFullBackpressure) {
   ServeConfig cfg;
   cfg.executors = 1;

@@ -335,21 +335,28 @@ TEST(GmgSolver, ProfilerRecordsAllPhases) {
     solver.vcycle(c);
     const auto& prof = solver.profiler();
     EXPECT_TRUE(prof.has(0, perf::Phase::kApplyOp));
-    EXPECT_TRUE(prof.has(0, perf::Phase::kSmoothResidual));
-    // With the default fused descent (DESIGN.md §16) the final
-    // smooth+residual and the restriction merge into one phase.
-    // Branch on the solver's resolved option so the suite also passes
-    // under a GMG_FUSE_STAGES CI override.
+    // With the default fusion (DESIGN.md §16) every Jacobi sweep but
+    // the final descent one evaluates A x inside the smoother update
+    // (one applyOp+smooth phase, also on the bottom solver's level),
+    // and the final smooth+residual and the restriction merge into
+    // one phase. Branch on the solver's resolved option so the suite
+    // also passes under a GMG_FUSE_STAGES CI override.
     if (solver.options().fuse_stages) {
+      EXPECT_TRUE(prof.has(0, perf::Phase::kFusedSweep));
+      EXPECT_FALSE(prof.has(0, perf::Phase::kSmoothResidual));
       EXPECT_TRUE(prof.has(0, perf::Phase::kFusedDescent));
       EXPECT_FALSE(prof.has(0, perf::Phase::kRestriction));
+      EXPECT_TRUE(prof.has(2, perf::Phase::kFusedSweep));  // bottom solver
+      EXPECT_FALSE(prof.has(2, perf::Phase::kSmooth));
     } else {
+      EXPECT_TRUE(prof.has(0, perf::Phase::kSmoothResidual));
+      EXPECT_FALSE(prof.has(0, perf::Phase::kFusedSweep));
       EXPECT_TRUE(prof.has(0, perf::Phase::kRestriction));
       EXPECT_FALSE(prof.has(0, perf::Phase::kFusedDescent));
+      EXPECT_TRUE(prof.has(2, perf::Phase::kSmooth));  // bottom solver
     }
     EXPECT_TRUE(prof.has(0, perf::Phase::kInterpIncrement));
     EXPECT_TRUE(prof.has(0, perf::Phase::kExchange));
-    EXPECT_TRUE(prof.has(2, perf::Phase::kSmooth));  // bottom solver
     EXPECT_GT(prof.level_total(0), 0.0);
     // Report contains artifact-style lines.
     const std::string report = prof.report();
@@ -363,9 +370,14 @@ TEST(GmgSolver, ProfilerRecordsAllPhases) {
     split_solver.set_rhs(sine_rhs);
     split_solver.vcycle(c);
     if (!split_solver.options().fuse_stages) {
-      EXPECT_TRUE(split_solver.profiler().has(0, perf::Phase::kRestriction));
-      EXPECT_FALSE(
-          split_solver.profiler().has(0, perf::Phase::kFusedDescent));
+      const auto& sprof = split_solver.profiler();
+      EXPECT_TRUE(sprof.has(0, perf::Phase::kRestriction));
+      EXPECT_FALSE(sprof.has(0, perf::Phase::kFusedDescent));
+      EXPECT_TRUE(sprof.has(0, perf::Phase::kApplyOp));
+      EXPECT_TRUE(sprof.has(0, perf::Phase::kSmoothResidual));
+      EXPECT_TRUE(sprof.has(0, perf::Phase::kSmooth));  // post-smoothing
+      EXPECT_FALSE(sprof.has(0, perf::Phase::kFusedSweep));
+      EXPECT_TRUE(sprof.has(2, perf::Phase::kSmooth));  // bottom solver
     }
   });
 }
