@@ -9,11 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <vector>
 
-#include "batch/batched_array.hpp"
+#include "common/rng.hpp"
+#include "gmg/fused_kernels.hpp"
+#include "gmg/kernel_plan.hpp"
+#include "gmg/level.hpp"
 #include "gmg/operators.hpp"
+#include "gmg/operators_varcoef.hpp"
 #include "gmg/solver.hpp"
 #include "trace/trace.hpp"
 
@@ -466,22 +471,335 @@ TEST(BatchedKernels, MaxNormPropagatesNaNPerComponent) {
 }
 
 TEST(BatchedArray, LayoutIsRhsInnermost) {
-  // The AoSoA contract: (i,j,k,c) lives at stretched inner element
+  // The AoSoA contract: (i,j,k,c) lives at stretched storage element
   // (i*K + c, j, k) — component index innermost within a brick row.
   auto grid_arr =
       BrickedArray::create({8, 8, 8}, BrickShape::cube(4));
   BrickedArray wide =
       BrickedArray::wide(grid_arr.grid_ptr(), BrickShape::cube(4), 2);
-  const batch::BatchedBrickedArray a = batch::view(wide);
   wide.at(3, 1, 2, 0) = 10.0;
   wide.at(3, 1, 2, 1) = 20.0;
   EXPECT_EQ(wide(6, 1, 2), 10.0);
   EXPECT_EQ(wide(7, 1, 2), 20.0);
-  EXPECT_EQ(a.at(3, 1, 2, 1), 20.0);
   EXPECT_EQ(wide.shape(), (BrickShape{8, 4, 4}));
-  EXPECT_EQ(a.batch(), 2);
-  EXPECT_EQ(a.base_shape(), BrickShape::cube(4));
+  EXPECT_EQ(wide.components(), 2);
+  EXPECT_EQ(wide.base_shape(), BrickShape::cube(4));
+  // Flat storage: component c of the cell at plain element e sits at
+  // element e*K + c, ghost bricks included.
+  const std::size_t e = grid_arr.element_index(3, 1, 2);
+  EXPECT_EQ(wide.data()[e * 2 + 1], 20.0);
 }
+
+// ---------------------------------------------------------------------
+// K-wide solves of the 4th-order (radius-2) operator, which runs
+// through the DSL engine rather than the 7-point star body.
+
+TEST(BatchedRadiusTwo, TwoWayMatchesTwoSoloSolves) {
+  GmgOptions o = small_options();
+  o.operator_radius = 2;
+  const CartDecomp decomp({16, 16, 16}, {2, 1, 1});
+  const Vec3 sub = decomp.subdomain_extent();
+  comm::World world(2);
+  world.run([&](comm::Communicator& c) {
+    GmgSolver solver(o, decomp, c.rank());
+    const SoloRef ra = run_solo(c, solver, sub, rhs_a, o.tolerance, o.max_vcycles);
+    const SoloRef rb = run_solo(c, solver, sub, rhs_b, o.tolerance, o.max_vcycles);
+
+    const std::vector<SolveResult> got =
+        run_wide(c, solver, {rhs_a, rhs_b}, o.tolerance, o.max_vcycles);
+    expect_component_matches_solo(ra, got[0], solver, 0, c.rank());
+    expect_component_matches_solo(rb, got[1], solver, 1, c.rank());
+  });
+}
+
+// ---------------------------------------------------------------------
+// Kernel-level stride contract: every kernel entry point that takes a
+// K-wide field gives each component exactly the bits a plain (K = 1)
+// run of the same kernel gives it — every storage element, ghost
+// bricks included — over the interior, over CA-grown boxes whose edge
+// bricks are clipped ghost bricks, and over a box that clips interior
+// bricks.
+
+struct StrideCase {
+  index_t bdim;
+  int k;
+};
+
+void PrintTo(const StrideCase& c, std::ostream* os) {
+  *os << "brick " << c.bdim << ", K=" << c.k;
+}
+
+std::string stride_case_name(const ::testing::TestParamInfo<StrideCase>& info) {
+  return "b" + std::to_string(info.param.bdim) + "_k" +
+         std::to_string(info.param.k);
+}
+
+using Fields = std::vector<BrickedArray>;
+
+template <typename... F>
+Fields fields(F&&... f) {
+  Fields v;
+  (v.push_back(std::forward<F>(f)), ...);
+  return v;
+}
+
+bool same_bits(real_t a, real_t b) {
+  return std::memcmp(&a, &b, sizeof(real_t)) == 0;
+}
+
+class KStride : public ::testing::TestWithParam<StrideCase> {
+ protected:
+  index_t bdim() const { return GetParam().bdim; }
+  int k() const { return GetParam().k; }
+  BrickShape shape() const { return BrickShape::cube(bdim()); }
+
+  std::shared_ptr<const BrickGrid> grid(index_t n) const {
+    const index_t nb = n / bdim();
+    return std::make_shared<BrickGrid>(Vec3{nb, nb, nb});
+  }
+
+  /// A K-wide field over `g` holding reproducible values in [lo, hi),
+  /// ghost bricks included.
+  BrickedArray wide(const std::shared_ptr<const BrickGrid>& g,
+                    std::uint64_t seed, real_t lo = -1.0,
+                    real_t hi = 1.0) const {
+    BrickedArray f = BrickedArray::wide(g, shape(), k());
+    Rng rng(seed);
+    for (std::size_t i = 0; i < f.size(); ++i) f.data()[i] = rng.uniform(lo, hi);
+    return f;
+  }
+
+  /// Component c of a K-wide field as a plain field over the same grid.
+  BrickedArray component(const BrickedArray& w, int c) const {
+    BrickedArray f(w.grid_ptr(), w.base_shape());
+    const std::size_t kk = static_cast<std::size_t>(w.components());
+    for (std::size_t e = 0; e < f.size(); ++e) f.data()[e] = w.data()[e * kk + c];
+    return f;
+  }
+
+  Fields components(const Fields& wide, int c) const {
+    Fields out;
+    for (const BrickedArray& w : wide) out.push_back(component(w, c));
+    return out;
+  }
+
+  /// Every element of component c of each wide field equals the
+  /// matching plain field bit for bit.
+  void expect_component_equal(const Fields& wide, const Fields& solo,
+                              int c) const {
+    ASSERT_EQ(wide.size(), solo.size());
+    const std::size_t kk = static_cast<std::size_t>(k());
+    for (std::size_t f = 0; f < wide.size(); ++f) {
+      int failures = 0;
+      for (std::size_t e = 0; e < solo[f].size(); ++e) {
+        if (!same_bits(wide[f].data()[e * kk + c], solo[f].data()[e]) &&
+            failures++ < 3) {
+          ADD_FAILURE() << "field " << f << " component " << c
+                        << " differs at plain element " << e;
+        }
+      }
+      ASSERT_EQ(failures, 0);
+    }
+  }
+
+  /// Run `kernel` on copies of the K-wide fields and, per component,
+  /// on plain fields holding that component, then compare.
+  template <typename Kernel>
+  void expect_stride_equal(const Fields& init, Kernel&& kernel) const {
+    Fields wide;
+    for (const BrickedArray& w : init) {
+      wide.push_back(BrickedArray::wide(w.grid_ptr(), w.base_shape(), k()));
+      std::memcpy(wide.back().data(), w.data(), w.size() * sizeof(real_t));
+    }
+    std::vector<Fields> solo;
+    for (int c = 0; c < k(); ++c) solo.push_back(components(init, c));
+    kernel(wide);
+    for (int c = 0; c < k(); ++c) {
+      kernel(solo[static_cast<std::size_t>(c)]);
+      expect_component_equal(wide, solo[static_cast<std::size_t>(c)], c);
+    }
+  }
+
+  /// Active boxes of a 16^3 interior: the interior, grown by `reach`
+  /// into the ghost bricks (edge items clipped ghost bricks), and an
+  /// interior box that clips bricks on every face.
+  std::vector<Box> boxes(index_t reach) const {
+    const Box interior = Box::from_extent({16, 16, 16});
+    std::vector<Box> out{interior, Box{{1, 2, 3}, {15, 13, 14}}};
+    if (reach > 0) out.push_back(grow(interior, reach));
+    return out;
+  }
+};
+
+TEST_P(KStride, JacobiStages) {
+  const auto g = grid(16);
+  const real_t alpha = -6.0 * 256.0, beta = 256.0, gamma = -0.5 / alpha;
+  for (const Box& active : boxes(bdim() - 1)) {
+    SCOPED_TRACE(::testing::Message() << "active " << active.lo.x << ".."
+                                      << active.hi.x);
+    // x, Ax, b, r
+    const Fields f = fields(wide(g, 1), wide(g, 2), wide(g, 3), wide(g, 4));
+    expect_stride_equal(f, [&](Fields& v) {
+      apply_op(v[1], v[0], alpha, beta, active);
+    });
+    expect_stride_equal(f, [&](Fields& v) {
+      smooth(v[0], v[1], v[2], gamma, active);
+    });
+    expect_stride_equal(f, [&](Fields& v) {
+      smooth_residual(v[0], v[3], v[1], v[2], gamma, active);
+    });
+    expect_stride_equal(f, [&](Fields& v) {
+      residual(v[3], v[2], v[1], active);
+    });
+  }
+}
+
+TEST_P(KStride, Transfers) {
+  const auto fine = grid(16);
+  const auto coarse = grid(8);
+  const Fields f = fields(wide(fine, 5), wide(coarse, 6));
+  expect_stride_equal(f, [](Fields& v) { restriction(v[1], v[0]); });
+  expect_stride_equal(f, [](Fields& v) {
+    interpolation_increment(v[0], v[1]);
+  });
+}
+
+TEST_P(KStride, GaussSeidel) {
+  const auto g = grid(16);
+  const real_t alpha = -6.0 * 256.0, beta = 256.0;
+  for (const Box& active : boxes(bdim() - 1)) {
+    for (const Vec3 origin : {Vec3{0, 0, 0}, Vec3{16, 0, 48}}) {
+      const Fields f = fields(wide(g, 7), wide(g, 8));
+      expect_stride_equal(f, [&](Fields& v) {
+        gs_color_sweep(v[0], v[1], alpha, beta, 0, origin, active);
+        gs_color_sweep(v[0], v[1], alpha, beta, 1, origin, active);
+      });
+    }
+  }
+}
+
+TEST_P(KStride, ChebyshevUpdates) {
+  const auto g = grid(16);
+  for (const Box& active : boxes(bdim() - 1)) {
+    const Fields f = fields(wide(g, 9), wide(g, 10));
+    expect_stride_equal(f, [&](Fields& v) { axpy(v[0], 0.375, v[1], active); });
+    expect_stride_equal(f, [&](Fields& v) {
+      cheby_p_update(v[0], v[1], -1.0 / 1536.0, 0.625, active);
+    });
+  }
+}
+
+TEST_P(KStride, VariableCoefficient) {
+  const auto g = grid(16);
+  // Shared across components: the coefficient and the diagonal.
+  BrickedArray coef(g, shape());
+  BrickedArray diag(g, shape());
+  Rng rng(11);
+  for (std::size_t i = 0; i < coef.size(); ++i) {
+    coef.data()[i] = rng.uniform(0.5, 1.5);
+    diag.data()[i] = rng.uniform(-2.0, -1.0);
+  }
+  for (const Box& active : boxes(bdim() - 1)) {
+    // x, Ax, b, r
+    const Fields f =
+        fields(wide(g, 12), wide(g, 13), wide(g, 14), wide(g, 15));
+    expect_stride_equal(f, [&](Fields& v) {
+      apply_op_varcoef(v[1], v[0], coef, 0.25, 1.0 / 16, active);
+    });
+    expect_stride_equal(f, [&](Fields& v) {
+      smooth_residual_varcoef(v[0], v[3], v[1], v[2], diag, 0.5, active);
+    });
+    expect_stride_equal(f, [&](Fields& v) {
+      smooth_varcoef(v[0], v[1], v[2], diag, 0.5, active);
+    });
+    expect_stride_equal(f, [&](Fields& v) {
+      cheby_p_update_varcoef(v[0], v[3], diag, 0.625, active);
+    });
+  }
+}
+
+TEST_P(KStride, FusedDescent) {
+  const auto fine = grid(16);
+  const auto coarse = grid(8);
+  BrickedArray diag(fine, shape());
+  Rng rng(16);
+  for (std::size_t i = 0; i < diag.size(); ++i) {
+    diag.data()[i] = rng.uniform(-2.0, -1.0);
+  }
+  const real_t gamma = 0.5 / 1536.0;
+  // The descent sweeps cover the interior: the interior itself and a
+  // CA-grown box.
+  for (const index_t reach : {index_t{0}, bdim() - 1}) {
+    const Box active = grow(Box::from_extent({16, 16, 16}), reach);
+    // x, r, coarse b, Ax, b
+    const Fields f = fields(wide(fine, 17), wide(fine, 18), wide(coarse, 19),
+                            wide(fine, 20), wide(fine, 21));
+    expect_stride_equal(f, [&](Fields& v) {
+      fused::smooth_residual_restrict(v[0], v[1], v[2], v[3], v[4], gamma,
+                                      active);
+    });
+    expect_stride_equal(f, [&](Fields& v) {
+      fused::smooth_residual_restrict_varcoef(v[0], v[1], v[2], v[3], v[4],
+                                              diag, 0.5, active);
+    });
+  }
+  const Fields f = fields(wide(fine, 22), wide(coarse, 23), wide(fine, 24),
+                          wide(fine, 25));
+  expect_stride_equal(f, [&](Fields& v) {
+    fused::residual_restrict(v[0], v[1], v[2], v[3]);
+  });
+}
+
+TEST_P(KStride, RadiusTwoApply) {
+  // The radius-2 star through the level binding the solver calls.
+  MgLevel lev;
+  lev.radius = 2;
+  lev.alpha = -7.5 * 256.0;
+  lev.beta = (4.0 / 3.0) * 256.0;
+  lev.beta2 = (-1.0 / 12.0) * 256.0;
+  GmgOptions o;
+  o.operator_radius = 2;
+  resolve_level_kernels(o, lev);
+  const auto g = grid(16);
+  for (const Box& active : boxes(bdim() - 2)) {
+    const Fields f = fields(wide(g, 26), wide(g, 27));
+    expect_stride_equal(f, [&](Fields& v) { lev.plan.apply(v[1], v[0], active); });
+  }
+}
+
+TEST_P(KStride, PerComponentReductions) {
+  const auto g = grid(16);
+  const BrickedArray a = wide(g, 28);
+  const BrickedArray b = wide(g, 29);
+  for (int c = 0; c < k(); ++c) {
+    SCOPED_TRACE(::testing::Message() << "component " << c);
+    const BrickedArray pa = component(a, c);
+    const BrickedArray pb = component(b, c);
+    EXPECT_TRUE(same_bits(max_norm(a, c), max_norm(pa, 0)));
+    EXPECT_TRUE(same_bits(dot_interior(a, b, c), dot_interior(pa, pb, 0)));
+
+    // The updates touch component c only.
+    const Fields y = fields(wide(g, 30));
+    Fields wy = fields(wide(g, 30));
+    std::vector<Fields> solo;
+    for (int cc = 0; cc < k(); ++cc) solo.push_back(components(y, cc));
+    BrickedArray& sy = solo[static_cast<std::size_t>(c)][0];
+    axpy_interior(wy[0], 0.375, a, c);
+    axpy_interior(sy, 0.375, pa, 0);
+    xpay_interior(wy[0], b, -0.625, c);
+    xpay_interior(sy, pb, -0.625, 0);
+    for (int cc = 0; cc < k(); ++cc) {
+      expect_component_equal(wy, solo[static_cast<std::size_t>(cc)], cc);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, KStride,
+    ::testing::Values(StrideCase{2, 2}, StrideCase{2, 3}, StrideCase{2, 5},
+                      StrideCase{4, 2}, StrideCase{4, 3}, StrideCase{4, 5},
+                      StrideCase{8, 2}, StrideCase{8, 3}, StrideCase{8, 5}),
+    stride_case_name);
 
 }  // namespace
 }  // namespace gmg
