@@ -7,12 +7,14 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
+#include "exec/runtime.hpp"
 #include "serve/service.hpp"
 
 using namespace gmg;
@@ -55,21 +57,37 @@ struct ClientPoint {
 
 /// One point of the coalescer sweep: the same offered load (8 clients,
 /// fixed request count) served with the operator's max_batch at K.
+/// req_per_s is the median over the timed passes, q1/q3 its quartiles.
 struct BatchPoint {
   int max_batch = 0;
   int requests = 0;
+  int trials = 0;
   double seconds = 0;
   double req_per_s = 0;
+  double req_per_s_q1 = 0;
+  double req_per_s_q3 = 0;
   std::uint64_t batch_solves = 0;
   std::uint64_t batch_requests = 0;
   double occupancy = 0;
 };
 
+/// A warmed service answering the sweep's request with max_batch K.
+struct BatchRig {
+  int max_batch = 0;
+  std::unique_ptr<SolveService> service;
+  SolveRequest req;
+  std::vector<double> pass_seconds;
+};
+
+constexpr int kBatchClients = 8;
+constexpr int kBatchPerClient = 24;
+
 /// Coalescing pays where fixed per-request costs (world spin-up,
 /// per-sweep exchange/dispatch machinery) dominate the arithmetic, so
 /// the sweep runs a small domain; K requests then ride one V-cycle
 /// schedule instead of K.
-BatchPoint run_batch_point(int max_batch, bool fuse_stages = true) {
+std::unique_ptr<BatchRig> make_batch_rig(int max_batch,
+                                         bool fuse_stages = true) {
   // Tiny requests, deep hierarchy, small bricks: per-sweep fixed costs
   // (exchange rounds, kernel dispatch) dwarf the arithmetic — the
   // regime coalescing targets.
@@ -90,10 +108,12 @@ BatchPoint run_batch_point(int max_batch, bool fuse_stages = true) {
   // whole burst lands within a fraction of a millisecond; a long hold
   // would only add idle time to every batch.
   cfg.max_batch_hold_seconds = 0.0005;
-  SolveService service(cfg);
-  service.register_operator("poisson", o);
+  auto rig = std::make_unique<BatchRig>();
+  rig->max_batch = max_batch;
+  rig->service = std::make_unique<SolveService>(cfg);
+  rig->service->register_operator("poisson", o);
 
-  SolveRequest req;
+  SolveRequest& req = rig->req;
   req.domain.global_extent = {8, 8, 8};
   req.rhs = sine_rhs;
   req.tolerance = 1e-8;
@@ -101,47 +121,63 @@ BatchPoint run_batch_point(int max_batch, bool fuse_stages = true) {
   req.return_solution = false;
 
   // Warm the hierarchy cache; the sweep measures steady-state serving.
-  const RequestResult warm = service.submit(req).get();
+  const RequestResult warm = rig->service->submit(req).get();
   if (warm.status != RequestStatus::kDone) {
     std::cerr << "batch warm-up failed: " << status_name(warm.status) << "\n";
     std::exit(1);
   }
-  // Warm the K-wide batched solver too (built lazily on the first
-  // coalesced batch): one untimed burst of max_batch requests.
+  // Warm the K-wide fields too (attached on the first coalesced
+  // batch): one untimed burst of max_batch requests.
   if (max_batch > 1) {
     std::vector<std::thread> warmers;
     warmers.reserve(static_cast<std::size_t>(max_batch));
     for (int c = 0; c < max_batch; ++c) {
-      warmers.emplace_back([&] { service.submit(req).wait(); });
+      warmers.emplace_back([&] { rig->service->submit(req).wait(); });
     }
     for (auto& th : warmers) th.join();
   }
+  return rig;
+}
 
-  constexpr int kClients = 8;
-  constexpr int kPerClient = 24;
-  BatchPoint p;
-  p.max_batch = max_batch;
-  p.requests = kClients * kPerClient;
-  // Best of two passes: the service is in steady state, so the runs
-  // differ only by scheduler noise.
-  p.seconds = 0;
-  for (int pass = 0; pass < 2; ++pass) {
-    Timer t;
-    {
-      std::vector<std::thread> threads;
-      threads.reserve(kClients);
-      for (int c = 0; c < kClients; ++c) {
-        threads.emplace_back([&] {
-          for (int i = 0; i < kPerClient; ++i) service.submit(req).wait();
-        });
-      }
-      for (auto& th : threads) th.join();
+/// One timed pass: 8 closed-loop clients, 24 requests each.
+void timed_pass(BatchRig& rig) {
+  Timer t;
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(kBatchClients);
+    for (int c = 0; c < kBatchClients; ++c) {
+      threads.emplace_back([&] {
+        for (int i = 0; i < kBatchPerClient; ++i)
+          rig.service->submit(rig.req).wait();
+      });
     }
-    const double s = t.elapsed();
-    if (p.seconds == 0 || s < p.seconds) p.seconds = s;
+    for (auto& th : threads) th.join();
   }
-  p.req_per_s = static_cast<double>(p.requests) / p.seconds;
-  const ServiceStats stats = service.stats();
+  rig.pass_seconds.push_back(t.elapsed());
+}
+
+/// The quantile q of sorted `v` (linear interpolation).
+double quantile(const std::vector<double>& v, double q) {
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+BatchPoint summarize(const BatchRig& rig) {
+  BatchPoint p;
+  p.max_batch = rig.max_batch;
+  p.requests = kBatchClients * kBatchPerClient;
+  p.trials = static_cast<int>(rig.pass_seconds.size());
+  std::vector<double> rps;
+  for (const double s : rig.pass_seconds)
+    rps.push_back(static_cast<double>(p.requests) / s);
+  std::sort(rps.begin(), rps.end());
+  p.req_per_s = quantile(rps, 0.5);
+  p.req_per_s_q1 = quantile(rps, 0.25);
+  p.req_per_s_q3 = quantile(rps, 0.75);
+  p.seconds = static_cast<double>(p.requests) / p.req_per_s;
+  const ServiceStats stats = rig.service->stats();
   p.batch_solves = stats.batch_solves;
   p.batch_requests = stats.batch_requests;
   p.occupancy = stats.batch_solves
@@ -149,6 +185,13 @@ BatchPoint run_batch_point(int max_batch, bool fuse_stages = true) {
                           static_cast<double>(stats.batch_solves)
                     : 0.0;
   return p;
+}
+
+/// Median-of-`trials` passes of one configuration.
+BatchPoint run_batch_point(int max_batch, bool fuse_stages, int trials) {
+  const auto rig = make_batch_rig(max_batch, fuse_stages);
+  for (int t = 0; t < trials; ++t) timed_pass(*rig);
+  return summarize(*rig);
 }
 
 }  // namespace
@@ -241,20 +284,36 @@ int main(int argc, char** argv) {
   tput.print();
   tput.write_csv("bench/out/serve_throughput.csv");
 
-  bench::section(
-      "Batch coalescing — 8 clients, 8^3 Poisson, max_batch sweep");
+  // One warmed service per K, each timed over kBatchTrials passes. A
+  // pass is 0.1-0.3 s, so single passes vary by tens of percent; the
+  // rounds alternate the K order so drift over the run (thermal, other
+  // tenants) lands on every K alike, and the table reports the median
+  // with its quartiles.
+  constexpr int kBatchTrials = 9;
+  bench::section("Batch coalescing — 8 clients, 8^3 Poisson, max_batch "
+                 "sweep, median of " +
+                 std::to_string(kBatchTrials) + " passes");
+  std::vector<std::unique_ptr<BatchRig>> rigs;
+  for (int k : {1, 2, 4, 8}) rigs.push_back(make_batch_rig(k));
+  for (int t = 0; t < kBatchTrials; ++t) {
+    for (std::size_t i = 0; i < rigs.size(); ++i) {
+      timed_pass(*rigs[t % 2 == 0 ? i : rigs.size() - 1 - i]);
+    }
+  }
   std::vector<BatchPoint> batch_points;
-  for (int k : {1, 2, 4, 8}) batch_points.push_back(run_batch_point(k));
+  for (const auto& rig : rigs) batch_points.push_back(summarize(*rig));
+  rigs.clear();
 
-  Table bt({"max_batch", "requests", "wall_s", "req/s", "batches",
+  Table bt({"max_batch", "requests", "req/s", "q1", "q3", "batches",
             "occupancy", "speedup"});
   const double base_rps = batch_points.front().req_per_s;
   for (const BatchPoint& p : batch_points) {
     bt.row()
         .cell(static_cast<long>(p.max_batch))
         .cell(static_cast<long>(p.requests))
-        .cell(p.seconds, 3)
         .cell(p.req_per_s, 2)
+        .cell(p.req_per_s_q1, 2)
+        .cell(p.req_per_s_q3, 2)
         .cell(static_cast<long>(p.batch_solves))
         .cell(p.occupancy, 2)
         .cell(p.req_per_s / base_rps, 2);
@@ -273,7 +332,7 @@ int main(int argc, char** argv) {
   std::vector<FusionPoint> fusion_points;
   for (int k : {1, 4}) {
     for (const bool fuse : {true, false}) {
-      fusion_points.push_back({k, fuse, run_batch_point(k, fuse)});
+      fusion_points.push_back({k, fuse, run_batch_point(k, fuse, 3)});
     }
   }
   Table fus({"max_batch", "fuse_stages", "wall_s", "req/s", "batches",
@@ -326,12 +385,20 @@ int main(int argc, char** argv) {
        << (i + 1 < points.size() ? ",\n" : "\n");
   }
   os << "  ],\n  \"batch_sweep_n\": 8,\n  \"batch_sweep_clients\": 8,\n"
+     << "  \"batch_host\": "
+     << bench::host_json(exec::resolved_default_workers()) << ",\n"
+     << "  \"batch_statistic\": \"median req/s over alternating-order "
+        "passes; q1/q3 its quartiles\",\n"
      << "  \"batch\": [\n";
   for (std::size_t i = 0; i < batch_points.size(); ++i) {
     const BatchPoint& p = batch_points[i];
     os << "    {\"max_batch\": " << p.max_batch
-       << ", \"requests\": " << p.requests << ", \"seconds\": " << p.seconds
+       << ", \"requests\": " << p.requests << ", \"trials\": " << p.trials
+       << ", \"seconds\": " << p.seconds
        << ", \"req_per_s\": " << p.req_per_s
+       << ", \"req_per_s_q1\": " << p.req_per_s_q1
+       << ", \"req_per_s_q3\": " << p.req_per_s_q3
+       << ", \"req_per_s_iqr\": " << p.req_per_s_q3 - p.req_per_s_q1
        << ", \"batch_solves\": " << p.batch_solves
        << ", \"batch_requests\": " << p.batch_requests
        << ", \"occupancy\": " << p.occupancy

@@ -10,10 +10,11 @@
 #      per-thread ring buffers would hide — the wire and front
 #      tests: the wire decoder is the hostile-input surface, where
 #      UBSan catches a signed overflow in a size check — and the
-#      kernel suites (operators, fused kernels, serve): release builds
-#      compile GMG_ASSERT out, so an out-of-buffer tap (say, the west
-#      neighbour of a clipped ghost brick that has none) or a stale
-#      arena buffer shows only under ASan.
+#      kernel suites (operators, fused kernels, K-wide batch, serve):
+#      release builds compile GMG_ASSERT out, so an out-of-buffer tap
+#      (say, the west neighbour of a clipped ghost brick that has none,
+#      or a stride-K tap into one) or a stale arena buffer shows only
+#      under ASan.
 #   3. A TSan tree (./build-tsan, OpenMP off — see GMG_SANITIZE_THREAD)
 #      running the kernel-runtime parallel_for pool, simmpi, ghost
 #      exchange, and solve-service tests: the worker-pool handoffs of
@@ -118,7 +119,7 @@ done
 if [[ "${SKIP_ASAN}" == 1 ]]; then
   echo "== skipping ASan+UBSan pass =="
 else
-  echo "== ASan+UBSan: trace + comm + wire/front + kernel/serve tests =="
+  echo "== ASan+UBSan: trace + comm + wire/front + kernel/batch/serve tests =="
   cmake -B build-asan -S . \
     -DGMG_SANITIZE=ON \
     -DGMG_ENABLE_BENCH=OFF \
@@ -126,9 +127,9 @@ else
     -DGMG_NATIVE_ARCH=OFF >/dev/null
   cmake --build build-asan -j"${JOBS}" \
     --target test_trace test_simmpi test_exchange test_wire test_front \
-             test_operators test_fused test_serve
+             test_operators test_fused test_batch test_serve
   for t in test_trace test_simmpi test_exchange test_wire test_front \
-           test_operators test_fused test_serve; do
+           test_operators test_fused test_batch test_serve; do
     echo "-- ${t} (sanitized)"
     "./build-asan/tests/${t}"
   done

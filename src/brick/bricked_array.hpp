@@ -27,6 +27,13 @@ inline BrickShape stretched_shape(BrickShape base, int k) {
   return BrickShape{base.bx * static_cast<index_t>(k), base.by, base.bz};
 }
 
+/// The storage-coordinate image of a box of base cells in a K-wide
+/// field: x scaled by K, so it covers all K components of every cell.
+inline Box stretched_box(const Box& b, int k) {
+  const index_t kk = static_cast<index_t>(k);
+  return Box{{b.lo.x * kk, b.lo.y, b.lo.z}, {b.hi.x * kk, b.hi.y, b.hi.z}};
+}
+
 class BrickedArray {
  public:
   BrickedArray() = default;

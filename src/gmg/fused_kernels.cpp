@@ -5,11 +5,11 @@
 #include <type_traits>
 #include <vector>
 
-#include "batch/batched_kernels.hpp"
 #include "brick/brick_plan.hpp"
 #include "check/shadow.hpp"
 #include "exec/runtime.hpp"
-#include "gmg/star7.hpp"
+#include "gmg/brick_bodies.hpp"
+#include "gmg/operators.hpp"
 #include "trace/trace.hpp"
 
 namespace gmg::fused {
@@ -24,76 +24,37 @@ inline std::uint64_t box_points(const Box& b) {
   return static_cast<std::uint64_t>(b.volume());
 }
 
-/// 8->1 full weighting of ONE fine brick into its coarse octant — the
-/// split restriction()'s per-brick body verbatim (same row pointers,
-/// same 0.125 * 8-term summation order), so fused coarse RHS values
-/// are bitwise identical to the split pass. `bc` is the fine brick's
-/// grid coordinate; `fb` points at its (freshly written) residual.
-template <typename BD>
-inline void restrict_brick(const Vec3& bc, const BrickGrid& cg,
-                           const real_t* __restrict fb,
-                           real_t* __restrict cp) {
-  const index_t bx = bc.x, by = bc.y, bz = bc.z;
-  const std::int32_t cid = cg.storage_id({bx / 2, by / 2, bz / 2});
-  GMG_ASSERT(cid >= 0);
-  // In-coarse-brick base offset of this fine brick's image.
-  const index_t ox = (bx % 2) * (BD::bx / 2);
-  const index_t oy = (by % 2) * (BD::by / 2);
-  const index_t oz = (bz % 2) * (BD::bz / 2);
-  real_t* cb = cp + static_cast<std::size_t>(cid) * BD::volume;
-  for (index_t lk = 0; lk < BD::bz; lk += 2) {
-    for (index_t lj = 0; lj < BD::by; lj += 2) {
-      const real_t* r0 = fb + (lk * BD::by + lj) * BD::bx;
-      const real_t* r1 = r0 + BD::bx;           // j+1
-      const real_t* r2 = r0 + BD::by * BD::bx;  // k+1
-      const real_t* r3 = r2 + BD::bx;           // j+1, k+1
-      real_t* crow = cb +
-                     ((oz + lk / 2) * BD::by + (oy + lj / 2)) * BD::bx + ox;
-#pragma omp simd
-      for (index_t li = 0; li < BD::bx / 2; ++li) {
-        const index_t f = 2 * li;
-        crow[li] = 0.125 * (r0[f] + r0[f + 1] + r1[f] + r1[f + 1] + r2[f] +
-                            r2[f + 1] + r3[f] + r3[f + 1]);
-      }
-    }
-  }
-}
-
-/// One pass over the bricks of `active`: run `pointwise(o, ilo, ihi)`
-/// on every row (exactly as for_each_row chunks them — full bricks
-/// collapse to one whole-brick call), and restrict each INTERIOR
-/// brick's just-written residual into the coarse grid. Interior bricks
-/// are always in the plan's full prefix here because `active` covers
-/// the interior; clipped items are ghost-shell bricks, which
-/// contribute no restriction.
-template <typename BD, typename PointwiseRow>
-void descent_pass(BD, const char* name, const BrickGrid& fg,
+/// One pass over the bricks of `active`: run `pointwise(o, lo, hi)` on
+/// every row at component stride K (exactly as for_each_row chunks
+/// them), and restrict each INTERIOR brick's just-written residual into
+/// the coarse grid. Interior bricks are always in the plan's full
+/// prefix here because `active` covers the interior; clipped items are
+/// ghost-shell bricks, which contribute no restriction.
+template <typename BD, typename KS, typename PointwiseRow>
+void descent_pass(const char* name, KS K, const BrickGrid& fg,
                   const BrickGrid& cg, const real_t* __restrict rp,
                   real_t* __restrict cp, const Box& active,
                   PointwiseRow&& pointwise) {
   const std::int64_t ni = fg.num_interior();
+  const std::size_t bvol =
+      static_cast<std::size_t>(BD::volume) * static_cast<std::size_t>(K);
   const auto plan = fg.iteration_plan(active, Vec3{BD::bx, BD::by, BD::bz});
-  for_each_plan_brick<BD>(name, *plan, [&](const BrickPlanItem& it,
-                                           auto full) {
-    const std::size_t base = static_cast<std::size_t>(it.id) * BD::volume;
-    if constexpr (decltype(full)::value) {
-      pointwise(base, index_t{0}, static_cast<index_t>(BD::volume));
-      if (it.id < ni) restrict_brick<BD>(it.coord, cg, rp + base, cp);
-    } else {
-      GMG_ASSERT(it.id >= ni);
-      for (index_t lk = it.klo; lk < it.khi; ++lk) {
-        for (index_t lj = it.jlo; lj < it.jhi; ++lj) {
-          pointwise(base +
-                        static_cast<std::size_t>((lk * BD::by + lj) * BD::bx),
-                    static_cast<index_t>(it.ilo),
-                    static_cast<index_t>(it.ihi));
-        }
-      }
-    }
-  });
+  for_each_row<BD>(name, *plan, K, pointwise,
+                   [&](const BrickPlanItem& it, auto full) {
+                     if constexpr (decltype(full)::value) {
+                       if (it.id < ni) {
+                         detail::restrict_brick<BD>(
+                             K, it.coord, cg,
+                             rp + static_cast<std::size_t>(it.id) * bvol, cp);
+                       }
+                     } else {
+                       GMG_ASSERT(it.id >= ni);
+                     }
+                   });
 }
 
-/// Shared argument checks for the fused descent kernels.
+/// Shared argument checks for the fused descent kernels (`active` in
+/// base cells, extents in storage cells).
 void require_descent_args(const BrickedArray& r, const BrickedArray& coarse_b,
                           const Box& active) {
   const Vec3 fe = r.extent(), ce = coarse_b.extent();
@@ -101,7 +62,8 @@ void require_descent_args(const BrickedArray& r, const BrickedArray& coarse_b,
               "fine extent must be twice the coarse extent");
   GMG_REQUIRE(r.shape() == coarse_b.shape(),
               "fused restriction assumes equal brick shapes on both levels");
-  GMG_REQUIRE(active.covers(Box::from_extent(fe)),
+  GMG_REQUIRE(active.covers(
+                  Box::from_extent({fe.x / r.components(), fe.y, fe.z})),
               "fused descent sweep must cover the fine interior");
 }
 
@@ -119,13 +81,11 @@ void smooth_residual_restrict(BrickedArray& x, BrickedArray& r,
                               BrickedArray& coarse_b, const BrickedArray& Ax,
                               const BrickedArray& b, real_t gamma,
                               const Box& active) {
-  if (x.components() > 1)
-    return batch::smooth_residual_restrict(
-        batch::view(x), batch::view(r), batch::view(coarse_b),
-        batch::view(Ax), batch::view(b), gamma, active);
+  detail::require_same_layout(x, r, Ax, b);
   require_descent_args(r, coarse_b, active);
+  const int k = x.components();
   trace::TraceSpan span("kernel.smoothResidualRestrict");
-  count_flops(box_points(active), 4);
+  count_flops(box_points(active) * static_cast<std::uint64_t>(k), 4);
   count_flops(static_cast<std::uint64_t>(coarse_b.extent().x) *
                   coarse_b.extent().y * coarse_b.extent().z,
               8);
@@ -133,29 +93,31 @@ void smooth_residual_restrict(BrickedArray& x, BrickedArray& r,
   // the residual the pointwise stage just wrote (same-brick
   // read-after-write, ordered within one chunk); cross-scope hazard
   // tracking still sees the full write set.
+  const Box written = stretched_box(active, k);
   const auto scope = check::scope_if_enabled(
       "kernel.smoothResidualRestrict",
-      {check::access(x, active), check::access(r, active),
+      {check::access(x, written), check::access(r, written),
        check::access(coarse_b, Box::from_extent(coarse_b.extent()))});
-  with_brick_dims(x.shape(), [&](auto bd) {
+  with_brick_dims(x.base_shape(), [&](auto bd) {
     using BD = decltype(bd);
-    static_assert(BD::bx % 2 == 0 && BD::by % 2 == 0 && BD::bz % 2 == 0);
     real_t* __restrict xp = x.data();
     real_t* __restrict rp = r.data();
     real_t* __restrict cp = coarse_b.data();
     const real_t* __restrict axp = Ax.data();
     const real_t* __restrict bp = b.data();
-    descent_pass(bd, "kernel.smoothResidualRestrict", x.grid(),
-                 coarse_b.grid(), rp, cp, active,
-                 [&](std::size_t o, index_t ilo, index_t ihi) {
+    with_stride(k, [&](auto K) {
+      descent_pass<BD>("kernel.smoothResidualRestrict", K, x.grid(),
+                       coarse_b.grid(), rp, cp, active,
+                       [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
-                   for (index_t i = ilo; i < ihi; ++i) {
-                     const real_t ax = axp[o + i];
-                     const real_t rhs = bp[o + i];
-                     rp[o + i] = rhs - ax;
-                     xp[o + i] += gamma * (ax - rhs);
-                   }
-                 });
+                         for (index_t i = ilo; i < ihi; ++i) {
+                           const real_t ax = axp[o + i];
+                           const real_t rhs = bp[o + i];
+                           rp[o + i] = rhs - ax;
+                           xp[o + i] += gamma * (ax - rhs);
+                         }
+                       });
+    });
   });
 }
 
@@ -165,40 +127,43 @@ void smooth_residual_restrict_varcoef(BrickedArray& x, BrickedArray& r,
                                       const BrickedArray& b,
                                       const BrickedArray& diag, real_t omega,
                                       const Box& active) {
-  if (x.components() > 1)
-    return batch::smooth_residual_restrict_varcoef(
-        batch::view(x), batch::view(r), batch::view(coarse_b),
-        batch::view(Ax), batch::view(b), diag, omega, active);
+  detail::require_same_layout(x, r, Ax, b);
+  GMG_REQUIRE(diag.shape() == x.base_shape(), "diag must be a plain field");
   require_descent_args(r, coarse_b, active);
+  const int k = x.components();
   trace::TraceSpan span("kernel.smoothResidualRestrictVarCoef");
-  count_flops(box_points(active), 6);
+  count_flops(box_points(active) * static_cast<std::uint64_t>(k), 6);
   count_flops(static_cast<std::uint64_t>(coarse_b.extent().x) *
                   coarse_b.extent().y * coarse_b.extent().z,
               8);
+  const Box written = stretched_box(active, k);
   const auto scope = check::scope_if_enabled(
       "kernel.smoothResidualRestrictVarCoef",
-      {check::access(x, active), check::access(r, active),
+      {check::access(x, written), check::access(r, written),
        check::access(coarse_b, Box::from_extent(coarse_b.extent()))});
-  with_brick_dims(x.shape(), [&](auto bd) {
+  with_brick_dims(x.base_shape(), [&](auto bd) {
     using BD = decltype(bd);
-    static_assert(BD::bx % 2 == 0 && BD::by % 2 == 0 && BD::bz % 2 == 0);
     real_t* __restrict xp = x.data();
     real_t* __restrict rp = r.data();
     real_t* __restrict cp = coarse_b.data();
     const real_t* __restrict axp = Ax.data();
     const real_t* __restrict bp = b.data();
-    const real_t* __restrict dp = diag.data();
-    descent_pass(bd, "kernel.smoothResidualRestrictVarCoef", x.grid(),
-                 coarse_b.grid(), rp, cp, active,
-                 [&](std::size_t o, index_t ilo, index_t ihi) {
+    with_stride(k, [&](auto K) {
+      descent_pass<BD>(
+          "kernel.smoothResidualRestrictVarCoef", K, x.grid(),
+          coarse_b.grid(), rp, cp, active,
+          [&](std::size_t o, index_t ilo, index_t ihi) {
+            // The shared diagonal at the cell's base offset.
+            const real_t* __restrict dp = diag.data() + o / K;
 #pragma omp simd
-                   for (index_t i = ilo; i < ihi; ++i) {
-                     const real_t ax = axp[o + i];
-                     const real_t rhs = bp[o + i];
-                     rp[o + i] = rhs - ax;
-                     xp[o + i] += (-omega / dp[o + i]) * (ax - rhs);
-                   }
-                 });
+            for (index_t i = ilo; i < ihi; ++i) {
+              const real_t ax = axp[o + i];
+              const real_t rhs = bp[o + i];
+              rp[o + i] = rhs - ax;
+              xp[o + i] += (-omega / dp[i / K]) * (ax - rhs);
+            }
+          });
+    });
   });
 }
 
@@ -220,7 +185,7 @@ void jacobi_sweep(BrickedArray& x_next, BrickedArray* r, const BrickedArray& x,
   trace::TraceSpan span("kernel.jacobiSweep");
   count_flops(box_points(active) * static_cast<std::uint64_t>(k),
               r != nullptr ? 12 : 11);
-  const Box written = batch::stretch_box(active, k);
+  const Box written = stretched_box(active, k);
   std::vector<check::Access> writes{check::access(x_next, written)};
   if (r != nullptr) writes.push_back(check::access(*r, written));
   const auto scope =
@@ -247,26 +212,19 @@ void jacobi_sweep(BrickedArray& x_next, BrickedArray* r, const BrickedArray& x,
                 });
           });
     };
-    const auto with_stride = [&](auto with_residual) {
-      if (k == 1) {
-        sweep(detail::UnitStride{}, with_residual);
+    with_stride(k, [&](auto K) {
+      if (rp != nullptr) {
+        sweep(K, std::true_type{});
       } else {
-        sweep(static_cast<index_t>(k), with_residual);
+        sweep(K, std::false_type{});
       }
-    };
-    if (rp != nullptr) {
-      with_stride(std::true_type{});
-    } else {
-      with_stride(std::false_type{});
-    }
+    });
   });
 }
 
 void residual_restrict(BrickedArray& r, BrickedArray& coarse_b,
                        const BrickedArray& b, const BrickedArray& Ax) {
-  if (r.components() > 1)
-    return batch::residual_restrict(batch::view(r), batch::view(coarse_b),
-                                    batch::view(b), batch::view(Ax));
+  detail::require_same_layout(r, b, Ax);
   const Vec3 fe = r.extent(), ce = coarse_b.extent();
   GMG_REQUIRE(fe.x == 2 * ce.x && fe.y == 2 * ce.y && fe.z == 2 * ce.z,
               "fine extent must be twice the coarse extent");
@@ -280,33 +238,36 @@ void residual_restrict(BrickedArray& r, BrickedArray& coarse_b,
       "kernel.residualRestrict",
       {check::access(r, interior),
        check::access(coarse_b, Box::from_extent(ce))});
-  with_brick_dims(r.shape(), [&](auto bd) {
+  with_brick_dims(r.base_shape(), [&](auto bd) {
     using BD = decltype(bd);
-    static_assert(BD::bx % 2 == 0 && BD::by % 2 == 0 && BD::bz % 2 == 0);
     const BrickGrid& fg = r.grid();
     const BrickGrid& cg = coarse_b.grid();
     real_t* __restrict rp = r.data();
     real_t* __restrict cp = coarse_b.data();
     const real_t* __restrict bp = b.data();
     const real_t* __restrict axp = Ax.data();
-    // Interior fine bricks are ids [0, num_interior): per brick, the
-    // flat residual rows then the octant copy from the residual still
-    // in cache. Any chunking is race-free (disjoint r bricks, disjoint
-    // coarse octants).
-    exec::parallel_for(
-        "kernel.residualRestrict", fg.num_interior(),
-        exec::brick_grain(BD::volume), [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t fid = lo; fid < hi; ++fid) {
-            const std::size_t base =
-                static_cast<std::size_t>(fid) * BD::volume;
+    with_stride(r.components(), [&](auto K) {
+      const index_t bvol = BD::volume * K;
+      // Interior fine bricks are ids [0, num_interior): per brick, the
+      // flat residual rows then the octant copy from the residual still
+      // in cache. Any chunking is race-free (disjoint r bricks,
+      // disjoint coarse octants).
+      exec::parallel_for(
+          "kernel.residualRestrict", fg.num_interior(),
+          exec::brick_grain(BD::volume), [&](std::int64_t lo, std::int64_t hi) {
+            for (std::int64_t fid = lo; fid < hi; ++fid) {
+              const std::size_t base =
+                  static_cast<std::size_t>(fid) * static_cast<std::size_t>(bvol);
 #pragma omp simd
-            for (index_t i = 0; i < static_cast<index_t>(BD::volume); ++i) {
-              rp[base + i] = bp[base + i] - axp[base + i];
+              for (index_t i = 0; i < bvol; ++i) {
+                rp[base + i] = bp[base + i] - axp[base + i];
+              }
+              detail::restrict_brick<BD>(
+                  K, fg.coord_of(static_cast<std::int32_t>(fid)), cg,
+                  rp + base, cp);
             }
-            restrict_brick<BD>(fg.coord_of(static_cast<std::int32_t>(fid)),
-                               cg, rp + base, cp);
-          }
-        });
+          });
+    });
   });
 }
 

@@ -3,7 +3,6 @@
 #include <array>
 #include <utility>
 
-#include "batch/apply_batch.hpp"
 #include "dsl/apply_brick.hpp"
 #include "dsl/generated/laplacian_7pt_gen.hpp"
 #include "dsl/generated/star_13pt_gen.hpp"
@@ -78,13 +77,9 @@ void resolve_level_kernels(const GmgOptions& opts, MgLevel& lev) {
   } else {
     plan.apply = [L](BrickedArray& out, const BrickedArray& in,
                      const Box& active) {
-      const auto expr = dsl::star_stencil<2, 0>(
-          std::array<real_t, 3>{L->alpha, L->beta, L->beta2});
-      if (out.components() > 1) {
-        batch::apply(expr, batch::view(out), active, batch::view(in));
-      } else {
-        dsl::apply(expr, out, active, in);
-      }
+      dsl::apply(dsl::star_stencil<2, 0>(
+                     std::array<real_t, 3>{L->alpha, L->beta, L->beta2}),
+                 out, active, in);
     };
   }
 

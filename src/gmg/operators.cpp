@@ -4,15 +4,16 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <type_traits>
 
-#include "batch/batched_kernels.hpp"
 #include "brick/brick_mask.hpp"
 #include "brick/brick_plan.hpp"
 #include "check/shadow.hpp"
+#include "common/aligned.hpp"
 #include "dsl/apply_brick.hpp"
 #include "dsl/stencils.hpp"
 #include "exec/runtime.hpp"
-#include "gmg/star7.hpp"
+#include "gmg/brick_bodies.hpp"
 #include "trace/trace.hpp"
 
 namespace gmg {
@@ -27,39 +28,6 @@ inline void count_flops(std::uint64_t pts, std::uint64_t flops_per_pt) {
 
 inline std::uint64_t box_points(const Box& b) {
   return static_cast<std::uint64_t>(b.volume());
-}
-
-/// Visit the contiguous rows of `active` clipped to each brick:
-/// fn(flat_base_index, ilo, ihi) where the row occupies
-/// [flat_base_index + ilo, flat_base_index + ihi). Full bricks of the
-/// cached iteration plan collapse to ONE call covering the whole brick
-/// (base, 0, BD::volume) — element-wise kernels don't care about row
-/// structure, so the straight-line loop replaces bz*by row calls.
-template <typename BD, typename Fn>
-void for_each_row_plan(BD, const char* name, const BrickIterPlan& plan,
-                       Fn&& fn) {
-  for_each_plan_brick<BD>(name, plan, [&](const BrickPlanItem& it,
-                                          auto full) {
-    const std::size_t brick_base = static_cast<std::size_t>(it.id) * BD::volume;
-    if constexpr (decltype(full)::value) {
-      fn(brick_base, index_t{0}, static_cast<index_t>(BD::volume));
-    } else {
-      for (index_t lk = it.klo; lk < it.khi; ++lk) {
-        for (index_t lj = it.jlo; lj < it.jhi; ++lj) {
-          fn(brick_base +
-                 static_cast<std::size_t>((lk * BD::by + lj) * BD::bx),
-             static_cast<index_t>(it.ilo), static_cast<index_t>(it.ihi));
-        }
-      }
-    }
-  });
-}
-
-template <typename BD, typename Fn>
-void for_each_row(BD, const char* name, const BrickGrid& grid,
-                  const Box& active, Fn&& fn) {
-  const auto plan = grid.iteration_plan(active, Vec3{BD::bx, BD::by, BD::bz});
-  for_each_row_plan(BD{}, name, *plan, fn);
 }
 
 /// Specialized 7-point star kernel — the code BrickLib's vector code
@@ -101,13 +69,11 @@ void apply_op(BrickedArray& Ax, const BrickedArray& x, real_t alpha,
   trace::TraceSpan span("kernel.applyOp");
   count_flops(box_points(active) * static_cast<std::uint64_t>(k), 8);
   const auto scope = check::scope_if_enabled(
-      "kernel.applyOp", {check::access(Ax, batch::stretch_box(active, k))});
+      "kernel.applyOp", {check::access(Ax, stretched_box(active, k))});
   with_brick_dims(x.base_shape(), [&](auto bd) {
-    if (k == 1) {
-      apply_op_7pt(bd, detail::UnitStride{}, Ax, x, alpha, beta, active);
-    } else {
-      apply_op_7pt(bd, static_cast<index_t>(k), Ax, x, alpha, beta, active);
-    }
+    with_stride(k, [&](auto K) {
+      apply_op_7pt(bd, K, Ax, x, alpha, beta, active);
+    });
   });
 }
 
@@ -123,83 +89,74 @@ void apply_op(BrickedArray& Ax, const BrickedArray& x, real_t alpha,
   const auto scope = check::scope_if_enabled(
       "kernel.applyOpMasked", {check::access(Ax, active)});
   with_brick_dims(x.shape(), [&](auto bd) {
-    apply_op_7pt(bd, detail::UnitStride{}, Ax, x, alpha, beta, active, &mask);
+    apply_op_7pt(bd, UnitStride{}, Ax, x, alpha, beta, active, &mask);
   });
 }
 
 void smooth(BrickedArray& x, const BrickedArray& Ax, const BrickedArray& b,
             real_t gamma, const Box& active) {
-  if (x.components() > 1)
-    return batch::smooth(batch::view(x), batch::view(Ax), batch::view(b),
-                         gamma, active);
+  detail::require_same_layout(x, Ax, b);
+  const int k = x.components();
   trace::TraceSpan span("kernel.smooth");
-  count_flops(box_points(active), 3);
+  count_flops(box_points(active) * static_cast<std::uint64_t>(k), 3);
   const auto scope = check::scope_if_enabled(
-      "kernel.smooth", {check::access(x, active)});
-  with_brick_dims(x.shape(), [&](auto bd) {
-    real_t* __restrict xp = x.data();
-    const real_t* __restrict axp = Ax.data();
-    const real_t* __restrict bp = b.data();
-    for_each_row(bd, "kernel.smooth", x.grid(), active,
-                 [&](std::size_t o, index_t ilo, index_t ihi) {
+      "kernel.smooth", {check::access(x, stretched_box(active, k))});
+  real_t* __restrict xp = x.data();
+  const real_t* __restrict axp = Ax.data();
+  const real_t* __restrict bp = b.data();
+  for_each_row("kernel.smooth", x, active,
+               [&](std::size_t o, index_t ilo, index_t ihi, auto) {
 #pragma omp simd
-                   for (index_t i = ilo; i < ihi; ++i) {
-                     xp[o + i] += gamma * (axp[o + i] - bp[o + i]);
-                   }
-                 });
-  });
+                 for (index_t i = ilo; i < ihi; ++i) {
+                   xp[o + i] += gamma * (axp[o + i] - bp[o + i]);
+                 }
+               });
 }
 
 void smooth_residual(BrickedArray& x, BrickedArray& r, const BrickedArray& Ax,
                      const BrickedArray& b, real_t gamma, const Box& active) {
-  if (x.components() > 1)
-    return batch::smooth_residual(batch::view(x), batch::view(r),
-                                  batch::view(Ax), batch::view(b), gamma,
-                                  active);
+  detail::require_same_layout(x, r, Ax, b);
+  const int k = x.components();
   trace::TraceSpan span("kernel.smoothResidual");
-  count_flops(box_points(active), 4);
+  count_flops(box_points(active) * static_cast<std::uint64_t>(k), 4);
+  const Box written = stretched_box(active, k);
   const auto scope = check::scope_if_enabled(
       "kernel.smoothResidual",
-      {check::access(x, active), check::access(r, active)});
-  with_brick_dims(x.shape(), [&](auto bd) {
-    real_t* __restrict xp = x.data();
-    real_t* __restrict rp = r.data();
-    const real_t* __restrict axp = Ax.data();
-    const real_t* __restrict bp = b.data();
-    for_each_row(bd, "kernel.smoothResidual", x.grid(), active,
-                 [&](std::size_t o, index_t ilo, index_t ihi) {
+      {check::access(x, written), check::access(r, written)});
+  real_t* __restrict xp = x.data();
+  real_t* __restrict rp = r.data();
+  const real_t* __restrict axp = Ax.data();
+  const real_t* __restrict bp = b.data();
+  for_each_row("kernel.smoothResidual", x, active,
+               [&](std::size_t o, index_t ilo, index_t ihi, auto) {
 #pragma omp simd
-                   for (index_t i = ilo; i < ihi; ++i) {
-                     const real_t ax = axp[o + i];
-                     const real_t rhs = bp[o + i];
-                     rp[o + i] = rhs - ax;
-                     xp[o + i] += gamma * (ax - rhs);
-                   }
-                 });
-  });
+                 for (index_t i = ilo; i < ihi; ++i) {
+                   const real_t ax = axp[o + i];
+                   const real_t rhs = bp[o + i];
+                   rp[o + i] = rhs - ax;
+                   xp[o + i] += gamma * (ax - rhs);
+                 }
+               });
 }
 
 void residual(BrickedArray& r, const BrickedArray& b, const BrickedArray& Ax,
               const Box& active) {
-  if (r.components() > 1)
-    return batch::residual(batch::view(r), batch::view(b), batch::view(Ax),
-                           active);
+  detail::require_same_layout(r, b, Ax);
+  const int k = r.components();
   trace::TraceSpan span("kernel.residual");
-  count_flops(box_points(active), 1);
+  count_flops(box_points(active) * static_cast<std::uint64_t>(k), 1);
   const auto scope = check::scope_if_enabled(
-      "kernel.residual", {check::access(r, active)});
-  with_brick_dims(r.shape(), [&](auto bd) {
-    real_t* __restrict rp = r.data();
-    const real_t* __restrict axp = Ax.data();
-    const real_t* __restrict bp = b.data();
-    for_each_row(bd, "kernel.residual", r.grid(), active,
-                 [&](std::size_t o, index_t ilo, index_t ihi) {
+      "kernel.residual", {check::access(r, stretched_box(active, k))});
+  real_t* __restrict rp = r.data();
+  const real_t* __restrict axp = Ax.data();
+  const real_t* __restrict bp = b.data();
+  for_each_row("kernel.residual", r, active,
+               [&](std::size_t o, index_t ilo, index_t ihi, auto) {
 #pragma omp simd
-                   for (index_t i = ilo; i < ihi; ++i) {
-                     rp[o + i] = bp[o + i] - axp[o + i];
-                   }
-                 });
-  });
+                 for (index_t i = ilo; i < ihi; ++i) {
+                   rp[o + i] = bp[o + i] - axp[o + i];
+                 }
+               });
 }
 
 void residual(BrickedArray& r, const BrickedArray& b, const BrickedArray& Ax,
@@ -215,19 +172,17 @@ void residual(BrickedArray& r, const BrickedArray& b, const BrickedArray& Ax,
     const real_t* __restrict bp = b.data();
     const auto plan =
         r.grid().iteration_plan(active, Vec3{BD::bx, BD::by, BD::bz}, &mask);
-    for_each_row_plan(bd, "kernel.residualMasked", *plan,
-                      [&](std::size_t o, index_t ilo, index_t ihi) {
+    for_each_row<BD>("kernel.residualMasked", *plan, UnitStride{},
+                     [&](std::size_t o, index_t ilo, index_t ihi) {
 #pragma omp simd
-                        for (index_t i = ilo; i < ihi; ++i) {
-                          rp[o + i] = bp[o + i] - axp[o + i];
-                        }
-                      });
+                       for (index_t i = ilo; i < ihi; ++i) {
+                         rp[o + i] = bp[o + i] - axp[o + i];
+                       }
+                     });
   });
 }
 
 void restriction(BrickedArray& coarse, const BrickedArray& fine) {
-  if (coarse.components() > 1)
-    return batch::restriction(batch::view(coarse), batch::view(fine));
   const Vec3 fe = fine.extent(), ce = coarse.extent();
   GMG_REQUIRE(fe.x == 2 * ce.x && fe.y == 2 * ce.y && fe.z == 2 * ce.z,
               "fine extent must be twice the coarse extent");
@@ -238,57 +193,32 @@ void restriction(BrickedArray& coarse, const BrickedArray& fine) {
               "restriction assumes equal brick shapes on both levels");
   const auto scope = check::scope_if_enabled(
       "kernel.restriction", {check::access(coarse, Box::from_extent(ce))});
-  with_brick_dims(fine.shape(), [&](auto bd) {
+  with_brick_dims(fine.base_shape(), [&](auto bd) {
     using BD = decltype(bd);
-    static_assert(BD::bx % 2 == 0 && BD::by % 2 == 0 && BD::bz % 2 == 0);
     const BrickGrid& fg = fine.grid();
     const BrickGrid& cg = coarse.grid();
     const real_t* __restrict fp = fine.data();
     real_t* __restrict cp = coarse.data();
-    // Interior fine bricks are ids [0, num_interior) in lexicographic
-    // order; eight fine bricks write disjoint octants of one coarse
-    // brick, so any chunking is race-free.
-    exec::parallel_for(
-        "kernel.restriction", fg.num_interior(), exec::brick_grain(BD::volume),
-        [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t fid = lo; fid < hi; ++fid) {
-            const Vec3 bc = fg.coord_of(static_cast<std::int32_t>(fid));
-            const index_t bx = bc.x, by = bc.y, bz = bc.z;
-            const std::int32_t cid = cg.storage_id({bx / 2, by / 2, bz / 2});
-            GMG_ASSERT(cid >= 0);
-            // In-coarse-brick base offset of this fine brick's image.
-            const index_t ox = (bx % 2) * (BD::bx / 2);
-            const index_t oy = (by % 2) * (BD::by / 2);
-            const index_t oz = (bz % 2) * (BD::bz / 2);
-            const real_t* fb = fp + static_cast<std::size_t>(fid) * BD::volume;
-            real_t* cb = cp + static_cast<std::size_t>(cid) * BD::volume;
-            for (index_t lk = 0; lk < BD::bz; lk += 2) {
-              for (index_t lj = 0; lj < BD::by; lj += 2) {
-                const real_t* r0 = fb + (lk * BD::by + lj) * BD::bx;
-                const real_t* r1 = r0 + BD::bx;           // j+1
-                const real_t* r2 = r0 + BD::by * BD::bx;  // k+1
-                const real_t* r3 = r2 + BD::bx;           // j+1, k+1
-                real_t* crow = cb +
-                               ((oz + lk / 2) * BD::by + (oy + lj / 2)) *
-                                   BD::bx +
-                               ox;
-#pragma omp simd
-                for (index_t li = 0; li < BD::bx / 2; ++li) {
-                  const index_t f = 2 * li;
-                  crow[li] = 0.125 * (r0[f] + r0[f + 1] + r1[f] + r1[f + 1] +
-                                      r2[f] + r2[f + 1] + r3[f] + r3[f + 1]);
-                }
-              }
+    with_stride(fine.components(), [&](auto K) {
+      const std::size_t bvol =
+          static_cast<std::size_t>(BD::volume) * static_cast<std::size_t>(K);
+      // Interior fine bricks are ids [0, num_interior) in lexicographic
+      // order; eight fine bricks write disjoint octants of one coarse
+      // brick, so any chunking is race-free.
+      exec::parallel_for(
+          "kernel.restriction", fg.num_interior(),
+          exec::brick_grain(BD::volume), [&](std::int64_t lo, std::int64_t hi) {
+            for (std::int64_t fid = lo; fid < hi; ++fid) {
+              detail::restrict_brick<BD>(
+                  K, fg.coord_of(static_cast<std::int32_t>(fid)), cg,
+                  fp + static_cast<std::size_t>(fid) * bvol, cp);
             }
-          }
-        });
+          });
+    });
   });
 }
 
 void interpolation_increment(BrickedArray& fine, const BrickedArray& coarse) {
-  if (fine.components() > 1)
-    return batch::interpolation_increment(batch::view(fine),
-                                          batch::view(coarse));
   const Vec3 fe = fine.extent(), ce = coarse.extent();
   GMG_REQUIRE(fe.x == 2 * ce.x && fe.y == 2 * ce.y && fe.z == 2 * ce.z,
               "fine extent must be twice the coarse extent");
@@ -298,55 +228,61 @@ void interpolation_increment(BrickedArray& fine, const BrickedArray& coarse) {
               "interpolation assumes equal brick shapes on both levels");
   const auto scope = check::scope_if_enabled(
       "kernel.interpIncrement", {check::access(fine, Box::from_extent(fe))});
-  with_brick_dims(fine.shape(), [&](auto bd) {
+  with_brick_dims(fine.base_shape(), [&](auto bd) {
     using BD = decltype(bd);
     const BrickGrid& fg = fine.grid();
     const BrickGrid& cg = coarse.grid();
     real_t* __restrict fp = fine.data();
     const real_t* __restrict cp = coarse.data();
-    exec::parallel_for(
-        "kernel.interpIncrement", fg.num_interior(),
-        exec::brick_grain(BD::volume), [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t fid = lo; fid < hi; ++fid) {
-            const Vec3 bc = fg.coord_of(static_cast<std::int32_t>(fid));
-            const index_t bx = bc.x, by = bc.y, bz = bc.z;
-            const std::int32_t cid = cg.storage_id({bx / 2, by / 2, bz / 2});
-            GMG_ASSERT(cid >= 0);
-            const index_t ox = (bx % 2) * (BD::bx / 2);
-            const index_t oy = (by % 2) * (BD::by / 2);
-            const index_t oz = (bz % 2) * (BD::bz / 2);
-            real_t* fb = fp + static_cast<std::size_t>(fid) * BD::volume;
-            const real_t* cb = cp + static_cast<std::size_t>(cid) * BD::volume;
-            for (index_t lk = 0; lk < BD::bz; ++lk) {
-              for (index_t lj = 0; lj < BD::by; ++lj) {
-                real_t* frow = fb + (lk * BD::by + lj) * BD::bx;
-                const real_t* crow =
-                    cb +
-                    ((oz + lk / 2) * BD::by + (oy + lj / 2)) * BD::bx + ox;
+    with_stride(fine.components(), [&](auto K) {
+      const std::size_t bvol =
+          static_cast<std::size_t>(BD::volume) * static_cast<std::size_t>(K);
+      const index_t row = BD::bx * K;
+      const index_t plane = BD::by * row;
+      exec::parallel_for(
+          "kernel.interpIncrement", fg.num_interior(),
+          exec::brick_grain(BD::volume), [&](std::int64_t lo, std::int64_t hi) {
+            for (std::int64_t fid = lo; fid < hi; ++fid) {
+              const Vec3 bc = fg.coord_of(static_cast<std::int32_t>(fid));
+              const std::int32_t cid =
+                  cg.storage_id({bc.x / 2, bc.y / 2, bc.z / 2});
+              GMG_ASSERT(cid >= 0);
+              const index_t ox = (bc.x % 2) * (BD::bx / 2);
+              const index_t oy = (bc.y % 2) * (BD::by / 2);
+              const index_t oz = (bc.z % 2) * (BD::bz / 2);
+              real_t* fb = fp + static_cast<std::size_t>(fid) * bvol;
+              const real_t* cb = cp + static_cast<std::size_t>(cid) * bvol;
+              for (index_t lk = 0; lk < BD::bz; ++lk) {
+                for (index_t lj = 0; lj < BD::by; ++lj) {
+                  real_t* frow = fb + lk * plane + lj * row;
+                  const real_t* crow = cb + (oz + lk / 2) * plane +
+                                       (oy + lj / 2) * row + ox * K;
 #pragma omp simd
-                for (index_t li = 0; li < BD::bx; ++li) {
-                  frow[li] += crow[li / 2];
+                  for (index_t li = 0; li < BD::bx; ++li) {
+                    for (index_t c = 0; c < K; ++c) {
+                      frow[li * K + c] += crow[li / 2 * K + c];
+                    }
+                  }
                 }
               }
             }
-          }
-        });
+          });
+    });
   });
 }
 
 void gs_color_sweep(BrickedArray& x, const BrickedArray& b, real_t alpha,
                     real_t beta, int color, Vec3 origin, const Box& active) {
-  if (x.components() > 1)
-    return batch::gs_color_sweep(batch::view(x), batch::view(b), alpha, beta,
-                                 color, origin, active);
   GMG_REQUIRE(color == 0 || color == 1, "color must be 0 (red) or 1 (black)");
+  detail::require_same_layout(x, b);
+  const int k = x.components();
   // One checkerboard color updates half the cells; ~9 flops each
   // (6 adds, 1 multiply, 1 subtract, 1 divide).
   trace::TraceSpan span("kernel.gsColorSweep");
-  count_flops(box_points(active) / 2, 9);
+  count_flops(box_points(active) * static_cast<std::uint64_t>(k) / 2, 9);
   const auto scope = check::scope_if_enabled(
-      "kernel.gsColorSweep", {check::access(x, active)});
-  with_brick_dims(x.shape(), [&](auto bd) {
+      "kernel.gsColorSweep", {check::access(x, stretched_box(active, k))});
+  with_brick_dims(x.base_shape(), [&](auto bd) {
     using BD = decltype(bd);
     const BrickGrid& grid = x.grid();
     GMG_REQUIRE(&b.grid() == &grid, "fields must share a brick grid");
@@ -359,72 +295,83 @@ void gs_color_sweep(BrickedArray& x, const BrickedArray& b, real_t alpha,
 
     // Same-color cells never neighbor each other on the checkerboard,
     // so bricks (and cells within a color) can update concurrently.
-    for_each_plan_brick<BD>(
-        "kernel.gsColorSweep", *plan, [&](const BrickPlanItem& it, auto full) {
-          constexpr bool kFull = decltype(full)::value;
-          const auto& adj = it.adj;
-          const auto brick_of = [&](int dx, int dy, int dz) {
-            const std::int32_t nb = adj[direction_index(dx, dy, dz)];
-            GMG_ASSERT(nb >= 0);
-            return xp + static_cast<std::size_t>(nb) * BD::volume;
-          };
-          real_t* __restrict xb =
-              xp + static_cast<std::size_t>(it.id) * BD::volume;
-          const real_t* __restrict bb =
-              bp + static_cast<std::size_t>(it.id) * BD::volume;
+    with_stride(k, [&](auto K) {
+      const std::size_t bvol =
+          static_cast<std::size_t>(BD::volume) * static_cast<std::size_t>(K);
+      const index_t row = BD::bx * K;
+      const index_t plane = BD::by * row;
+      for_each_plan_brick<BD>(
+          "kernel.gsColorSweep", *plan,
+          [&](const BrickPlanItem& it, auto full) {
+            constexpr bool kFull = decltype(full)::value;
+            const auto brick_of = [&](int dx, int dy, int dz) {
+              const std::int32_t nb = it.adj[direction_index(dx, dy, dz)];
+              GMG_ASSERT(nb >= 0);
+              return xp + static_cast<std::size_t>(nb) * bvol;
+            };
+            real_t* __restrict xb = xp + static_cast<std::size_t>(it.id) * bvol;
+            const real_t* __restrict bb =
+                bp + static_cast<std::size_t>(it.id) * bvol;
 
-          const Vec3 c = it.coord;
-          const index_t cx = c.x * BD::bx, cy = c.y * BD::by,
-                        cz = c.z * BD::bz;
-          const index_t ilo = kFull ? 0 : it.ilo;
-          const index_t ihi = kFull ? BD::bx : it.ihi;
-          const index_t jlo = kFull ? 0 : it.jlo;
-          const index_t jhi = kFull ? BD::by : it.jhi;
-          const index_t klo = kFull ? 0 : it.klo;
-          const index_t khi = kFull ? BD::bz : it.khi;
+            const Vec3 c3 = it.coord;
+            const index_t cx = c3.x * BD::bx, cy = c3.y * BD::by,
+                          cz = c3.z * BD::bz;
+            const index_t ilo = kFull ? 0 : it.ilo;
+            const index_t ihi = kFull ? BD::bx : it.ihi;
+            const index_t jlo = kFull ? 0 : it.jlo;
+            const index_t jhi = kFull ? BD::by : it.jhi;
+            const index_t klo = kFull ? 0 : it.klo;
+            const index_t khi = kFull ? BD::bz : it.khi;
 
-          constexpr index_t kRow = BD::bx;
-          constexpr index_t kPlane = BD::bx * BD::by;
-          const auto row_at = [&](const real_t* brick, index_t lj,
-                                  index_t lk) {
-            return brick + lk * kPlane + lj * kRow;
-          };
+            const auto row_at = [&](const real_t* brick, index_t lj,
+                                    index_t lk) {
+              return brick + lk * plane + lj * row;
+            };
 
-          for (index_t lk = klo; lk < khi; ++lk) {
-            for (index_t lj = jlo; lj < jhi; ++lj) {
-              real_t* __restrict xr = xb + lk * kPlane + lj * kRow;
-              const real_t* __restrict br = bb + lk * kPlane + lj * kRow;
-              const real_t* __restrict ym =
-                  lj > 0 ? row_at(xb, lj - 1, lk)
-                         : row_at(brick_of(0, -1, 0), BD::by - 1, lk);
-              const real_t* __restrict yprow =
-                  lj < BD::by - 1 ? row_at(xb, lj + 1, lk)
-                                  : row_at(brick_of(0, 1, 0), 0, lk);
-              const real_t* __restrict zm =
-                  lk > 0 ? row_at(xb, lj, lk - 1)
-                         : row_at(brick_of(0, 0, -1), lj, BD::bz - 1);
-              const real_t* __restrict zprow =
-                  lk < BD::bz - 1 ? row_at(xb, lj, lk + 1)
-                                  : row_at(brick_of(0, 0, 1), lj, 0);
-              // Global parity of the first active cell in this row.
-              const index_t row_parity =
-                  (origin.x + cx + origin.y + cy + lj + origin.z + cz + lk) &
-                  1;
-              index_t first = ilo + (((color - row_parity - ilo) % 2) + 2) % 2;
-              for (index_t li = first; li < ihi; li += 2) {
-                const real_t xm =
-                    li > 0 ? xr[li - 1]
-                           : row_at(brick_of(-1, 0, 0), lj, lk)[BD::bx - 1];
-                const real_t xpv =
-                    li < BD::bx - 1 ? xr[li + 1]
-                                    : row_at(brick_of(1, 0, 0), lj, lk)[0];
-                xr[li] = (br[li] - beta * (xm + xpv + ym[li] + yprow[li] +
-                                           zm[li] + zprow[li])) /
-                         alpha;
+            for (index_t lk = klo; lk < khi; ++lk) {
+              for (index_t lj = jlo; lj < jhi; ++lj) {
+                real_t* __restrict xr = xb + lk * plane + lj * row;
+                const real_t* __restrict br = bb + lk * plane + lj * row;
+                const real_t* __restrict ym =
+                    lj > 0 ? row_at(xb, lj - 1, lk)
+                           : row_at(brick_of(0, -1, 0), BD::by - 1, lk);
+                const real_t* __restrict yprow =
+                    lj < BD::by - 1 ? row_at(xb, lj + 1, lk)
+                                    : row_at(brick_of(0, 1, 0), 0, lk);
+                const real_t* __restrict zm =
+                    lk > 0 ? row_at(xb, lj, lk - 1)
+                           : row_at(brick_of(0, 0, -1), lj, BD::bz - 1);
+                const real_t* __restrict zprow =
+                    lk < BD::bz - 1 ? row_at(xb, lj, lk + 1)
+                                    : row_at(brick_of(0, 0, 1), lj, 0);
+                // Global parity of the first active cell in this row.
+                const index_t row_parity =
+                    (origin.x + cx + origin.y + cy + lj + origin.z + cz +
+                     lk) &
+                    1;
+                const index_t first =
+                    ilo + (((color - row_parity - ilo) % 2) + 2) % 2;
+                for (index_t li = first; li < ihi; li += 2) {
+                  // The x taps of the cell's K components: in this row,
+                  // or in the west/east brick at the row's ends.
+                  const real_t* __restrict xm =
+                      li > 0 ? xr + (li - 1) * K
+                             : row_at(brick_of(-1, 0, 0), lj, lk) +
+                                   (BD::bx - 1) * K;
+                  const real_t* __restrict xpv =
+                      li < BD::bx - 1 ? xr + (li + 1) * K
+                                      : row_at(brick_of(1, 0, 0), lj, lk);
+                  for (index_t c = 0; c < K; ++c) {
+                    const index_t s = li * K + c;
+                    xr[s] = (br[s] - beta * (xm[c] + xpv[c] + ym[s] +
+                                             yprow[s] + zm[s] + zprow[s])) /
+                            alpha;
+                  }
+                }
               }
             }
-          }
-        });
+          });
+    });
   });
 }
 
@@ -457,72 +404,124 @@ std::int64_t interior_span(const BrickedArray& a) {
          static_cast<std::int64_t>(a.shape().volume());
 }
 
-}  // namespace
+/// Interior cells per component: the per-component kernels chunk this
+/// range, so a component of a K-wide field runs the chunk plan of a
+/// plain field.
+std::int64_t interior_cells(const BrickedArray& a) {
+  return static_cast<std::int64_t>(a.grid().num_interior()) *
+         static_cast<std::int64_t>(a.base_shape().volume());
+}
 
-namespace detail {
-
-real_t sum_sq_range(const real_t* p, std::int64_t n) {
+// Per-chunk '+'-reduction bodies, noinline so every caller runs the
+// exact same compiled loop: handed the same chunk at the same alignment,
+// the partial sums — and the fixed reduction tree over them — are
+// bitwise equal whichever kernel asked.
+[[gnu::noinline]] real_t sum_sq_range(const real_t* p, std::int64_t n) {
   real_t sum = 0.0;
 #pragma omp simd reduction(+ : sum)
   for (std::int64_t i = 0; i < n; ++i) sum += p[i] * p[i];
   return sum;
 }
 
-real_t dot_range(const real_t* a, const real_t* b, std::int64_t n) {
+[[gnu::noinline]] real_t dot_range(const real_t* a, const real_t* b,
+                                   std::int64_t n) {
   real_t sum = 0.0;
 #pragma omp simd reduction(+ : sum)
   for (std::int64_t i = 0; i < n; ++i) sum += a[i] * b[i];
   return sum;
 }
 
-}  // namespace detail
+/// 64-byte-aligned per-thread gather scratch for the K-wide dot. The
+/// alignment matters for bitwise identity: a plain field hands
+/// dot_range chunks at p + lo with lo a multiple of the element grain,
+/// preserving the buffer's 64-byte alignment, so a gathered component
+/// chunk must present the same alignment to take the same vector path.
+AlignedBuffer<real_t>& gather_scratch(int which, std::int64_t n) {
+  static thread_local AlignedBuffer<real_t> bufs[2];
+  AlignedBuffer<real_t>& s = bufs[which];
+  if (static_cast<std::int64_t>(s.size()) < n) {
+    s.reset(static_cast<std::size_t>(n), /*zero=*/false);
+  }
+  return s;
+}
+
+void require_component(const BrickedArray& a, int c) {
+  GMG_REQUIRE(0 <= c && c < a.components(), "component index out of range");
+}
+
+}  // namespace
 
 real_t norm2_sq(const BrickedArray& a) {
   const real_t* __restrict p = a.data();
   // Chunked tree reduction: per-chunk partial sums combined in fixed
-  // chunk order — bitwise reproducible at any worker count. The chunk
-  // body lives in detail:: so the batched per-component reduction can
-  // run the identical compiled loop.
+  // chunk order — bitwise reproducible at any worker count.
   return exec::parallel_reduce_sum<real_t>(
       "kernel.norm2", interior_span(a), exec::kElementGrain,
       [&](std::int64_t lo, std::int64_t hi) {
-        return detail::sum_sq_range(p + lo, hi - lo);
+        return sum_sq_range(p + lo, hi - lo);
       });
 }
 
-real_t dot_interior(const BrickedArray& a, const BrickedArray& b) {
+real_t dot_interior(const BrickedArray& a, const BrickedArray& b, int c) {
   GMG_REQUIRE(&a.grid() == &b.grid(), "fields must share a brick grid");
-  const real_t* __restrict pa = a.data();
-  const real_t* __restrict pb = b.data();
-  return exec::parallel_reduce_sum<real_t>(
-      "kernel.dot", interior_span(a), exec::kElementGrain,
-      [&](std::int64_t lo, std::int64_t hi) {
-        return detail::dot_range(pa + lo, pb + lo, hi - lo);
-      });
+  detail::require_same_layout(a, b);
+  require_component(a, c);
+  const real_t* __restrict pa = a.data() + c;
+  const real_t* __restrict pb = b.data() + c;
+  return with_stride(a.components(), [&](auto K) {
+    return exec::parallel_reduce_sum<real_t>(
+        "kernel.dot", interior_cells(a), exec::kElementGrain,
+        [&](std::int64_t lo, std::int64_t hi) {
+          const std::int64_t n = hi - lo;
+          if constexpr (std::is_same_v<decltype(K), UnitStride>) {
+            return dot_range(pa + lo, pb + lo, n);
+          } else {
+            // Gather the component's chunk, then reduce it with the
+            // loop a plain field's chunk runs.
+            real_t* sa = gather_scratch(0, n).data();
+            real_t* sb = gather_scratch(1, n).data();
+            for (std::int64_t i = 0; i < n; ++i) {
+              sa[i] = pa[(lo + i) * K];
+              sb[i] = pb[(lo + i) * K];
+            }
+            return dot_range(sa, sb, n);
+          }
+        });
+  });
 }
 
-void axpy_interior(BrickedArray& y, real_t alpha, const BrickedArray& x) {
+void axpy_interior(BrickedArray& y, real_t alpha, const BrickedArray& x,
+                   int c) {
   GMG_REQUIRE(&y.grid() == &x.grid(), "fields must share a brick grid");
-  real_t* __restrict py = y.data();
-  const real_t* __restrict px = x.data();
-  exec::parallel_for("kernel.axpy", interior_span(y), exec::kElementGrain,
-                     [&](std::int64_t lo, std::int64_t hi) {
+  detail::require_same_layout(y, x);
+  require_component(y, c);
+  real_t* __restrict py = y.data() + c;
+  const real_t* __restrict px = x.data() + c;
+  with_stride(y.components(), [&](auto K) {
+    exec::parallel_for("kernel.axpy", interior_cells(y), exec::kElementGrain,
+                       [&](std::int64_t lo, std::int64_t hi) {
 #pragma omp simd
-                       for (std::int64_t i = lo; i < hi; ++i)
-                         py[i] += alpha * px[i];
-                     });
+                         for (std::int64_t i = lo; i < hi; ++i)
+                           py[i * K] += alpha * px[i * K];
+                       });
+  });
 }
 
-void xpay_interior(BrickedArray& y, const BrickedArray& x, real_t beta) {
+void xpay_interior(BrickedArray& y, const BrickedArray& x, real_t beta,
+                   int c) {
   GMG_REQUIRE(&y.grid() == &x.grid(), "fields must share a brick grid");
-  real_t* __restrict py = y.data();
-  const real_t* __restrict px = x.data();
-  exec::parallel_for("kernel.xpay", interior_span(y), exec::kElementGrain,
-                     [&](std::int64_t lo, std::int64_t hi) {
+  detail::require_same_layout(y, x);
+  require_component(y, c);
+  real_t* __restrict py = y.data() + c;
+  const real_t* __restrict px = x.data() + c;
+  with_stride(y.components(), [&](auto K) {
+    exec::parallel_for("kernel.xpay", interior_cells(y), exec::kElementGrain,
+                       [&](std::int64_t lo, std::int64_t hi) {
 #pragma omp simd
-                       for (std::int64_t i = lo; i < hi; ++i)
-                         py[i] = px[i] + beta * py[i];
-                     });
+                         for (std::int64_t i = lo; i < hi; ++i)
+                           py[i * K] = px[i * K] + beta * py[i * K];
+                       });
+  });
 }
 
 void copy_interior(BrickedArray& dst, const BrickedArray& src) {
@@ -539,41 +538,36 @@ void copy_interior(BrickedArray& dst, const BrickedArray& src) {
 
 void axpy(BrickedArray& y, real_t alpha, const BrickedArray& x,
           const Box& active) {
-  if (y.components() > 1)
-    return batch::axpy(batch::view(y), alpha, batch::view(x), active);
-  const auto scope = check::scope_if_enabled("kernel.axpyActive",
-                                             {check::access(y, active)});
-  with_brick_dims(y.shape(), [&](auto bd) {
-    real_t* __restrict py = y.data();
-    const real_t* __restrict px = x.data();
-    for_each_row(bd, "kernel.axpyActive", y.grid(), active,
-                 [&](std::size_t o, index_t ilo, index_t ihi) {
+  detail::require_same_layout(y, x);
+  const int k = y.components();
+  const auto scope = check::scope_if_enabled(
+      "kernel.axpyActive", {check::access(y, stretched_box(active, k))});
+  real_t* __restrict py = y.data();
+  const real_t* __restrict px = x.data();
+  for_each_row("kernel.axpyActive", y, active,
+               [&](std::size_t o, index_t ilo, index_t ihi, auto) {
 #pragma omp simd
-                   for (index_t i = ilo; i < ihi; ++i) {
-                     py[o + i] += alpha * px[o + i];
-                   }
-                 });
-  });
+                 for (index_t i = ilo; i < ihi; ++i) {
+                   py[o + i] += alpha * px[o + i];
+                 }
+               });
 }
 
 void cheby_p_update(BrickedArray& p, const BrickedArray& r, real_t inv_diag,
                     real_t beta, const Box& active) {
-  if (p.components() > 1)
-    return batch::cheby_p_update(batch::view(p), batch::view(r), inv_diag,
-                                 beta, active);
-  const auto scope = check::scope_if_enabled("kernel.chebyP",
-                                             {check::access(p, active)});
-  with_brick_dims(p.shape(), [&](auto bd) {
-    real_t* __restrict pp = p.data();
-    const real_t* __restrict pr = r.data();
-    for_each_row(bd, "kernel.chebyP", p.grid(), active,
-                 [&](std::size_t o, index_t ilo, index_t ihi) {
+  detail::require_same_layout(p, r);
+  const int k = p.components();
+  const auto scope = check::scope_if_enabled(
+      "kernel.chebyP", {check::access(p, stretched_box(active, k))});
+  real_t* __restrict pp = p.data();
+  const real_t* __restrict pr = r.data();
+  for_each_row("kernel.chebyP", p, active,
+               [&](std::size_t o, index_t ilo, index_t ihi, auto) {
 #pragma omp simd
-                   for (index_t i = ilo; i < ihi; ++i) {
-                     pp[o + i] = inv_diag * pr[o + i] + beta * pp[o + i];
-                   }
-                 });
-  });
+                 for (index_t i = ilo; i < ihi; ++i) {
+                   pp[o + i] = inv_diag * pr[o + i] + beta * pp[o + i];
+                 }
+               });
 }
 
 void interpolation_assign(BrickedArray& fine, const BrickedArray& coarse) {
@@ -662,63 +656,36 @@ void interpolation_trilinear_assign(BrickedArray& fine,
       });
 }
 
-real_t max_norm(const BrickedArray& a) {
+real_t max_norm(const BrickedArray& a, int c) {
+  require_component(a, c);
+  const real_t* __restrict p = a.data() + c;
   real_t m = 0.0;
-  with_brick_dims(a.shape(), [&](auto bd) {
+  with_brick_dims(a.base_shape(), [&](auto bd) {
     using BD = decltype(bd);
-    const BrickGrid& grid = a.grid();
-    const real_t* __restrict p = a.data();
     // Interior bricks occupy storage ids [0, num_interior) — scan them
     // as one flat range.
     const std::int64_t n =
-        static_cast<std::int64_t>(grid.num_interior()) * BD::volume;
-    m = exec::parallel_reduce_max<real_t>(
-        "kernel.maxNorm", n, exec::kElementGrain,
-        [&](std::int64_t lo, std::int64_t hi) {
-          // The max lanes drop NaN (every comparison with it is
-          // false), so a separate flag carries it: a non-finite field
-          // must never read as a small residual.
-          real_t local = 0.0;
-          int nan = 0;
+        static_cast<std::int64_t>(a.grid().num_interior()) * BD::volume;
+    m = with_stride(a.components(), [&](auto K) {
+      return exec::parallel_reduce_max<real_t>(
+          "kernel.maxNorm", n, exec::kElementGrain,
+          [&](std::int64_t lo, std::int64_t hi) {
+            // The max lanes drop NaN (every comparison with it is
+            // false), so a separate flag carries it: a non-finite field
+            // must never read as a small residual.
+            real_t local = 0.0;
+            int nan = 0;
 #pragma omp simd reduction(max : local) reduction(| : nan)
-          for (std::int64_t i = lo; i < hi; ++i) {
-            const real_t v = std::abs(p[i]);
-            local = std::max(local, v);
-            nan |= v != v;
-          }
-          return nan ? std::numeric_limits<real_t>::quiet_NaN() : local;
-        });
+            for (std::int64_t i = lo; i < hi; ++i) {
+              const real_t v = std::abs(p[i * K]);
+              local = std::max(local, v);
+              nan |= v != v;
+            }
+            return nan ? std::numeric_limits<real_t>::quiet_NaN() : local;
+          });
+    });
   });
   return m;
-}
-
-real_t max_norm(const BrickedArray& a, int c) {
-  if (a.components() > 1) return batch::max_norm(batch::view(a), c);
-  GMG_ASSERT(c == 0);
-  return max_norm(a);
-}
-
-real_t dot_interior(const BrickedArray& a, const BrickedArray& b, int c) {
-  if (a.components() > 1)
-    return batch::dot_interior(batch::view(a), batch::view(b), c);
-  GMG_ASSERT(c == 0);
-  return dot_interior(a, b);
-}
-
-void axpy_interior(BrickedArray& y, real_t alpha, const BrickedArray& x,
-                   int c) {
-  if (y.components() > 1)
-    return batch::axpy_interior(batch::view(y), alpha, batch::view(x), c);
-  GMG_ASSERT(c == 0);
-  axpy_interior(y, alpha, x);
-}
-
-void xpay_interior(BrickedArray& y, const BrickedArray& x, real_t beta,
-                   int c) {
-  if (y.components() > 1)
-    return batch::xpay_interior(batch::view(y), batch::view(x), beta, c);
-  GMG_ASSERT(c == 0);
-  xpay_interior(y, x, beta);
 }
 
 }  // namespace gmg

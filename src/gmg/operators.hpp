@@ -11,9 +11,10 @@
 // vcycle.hpp) shrinks it by one cell per sweep between exchanges.
 //
 // The V-cycle kernels accept K-wide fields (components() > 1, DESIGN.md
-// §15) and hand them to their K-inner twins in src/batch, so the
-// multigrid schedule is the same code for any number of right-hand
-// sides. A plain field runs the kernel body below unchanged.
+// §15): each body takes the component stride K as its only layout
+// parameter, so the multigrid schedule is the same code for any number
+// of right-hand sides and a plain field runs the K = 1 instance.
+// `active` boxes are in base cell coordinates at any width.
 #pragma once
 
 #include "brick/bricked_array.hpp"
@@ -64,9 +65,10 @@ void interpolation_increment(BrickedArray& fine, const BrickedArray& coarse);
 /// initZero in the downsweep).
 void init_zero(BrickedArray& a);
 
-/// max |a| over the subdomain interior (this rank's part of the
-/// convergence norm; reduce across ranks with allreduce_max).
-real_t max_norm(const BrickedArray& a);
+/// max |a_c| over the subdomain interior, for component c (0 on a
+/// plain field): this rank's part of the convergence norm; reduce
+/// across ranks with allreduce_max.
+real_t max_norm(const BrickedArray& a, int c = 0);
 
 /// Sum of a(i)^2 over the interior (combine across ranks with
 /// allreduce_sum, then sqrt, for the global L2 norm).
@@ -75,20 +77,25 @@ real_t norm2_sq(const BrickedArray& a);
 // ---------------------------------------------------------------------------
 // BLAS-1-style kernels. The *_interior forms scan the contiguous
 // interior-brick storage range (used by the conjugate-gradient bottom
-// solver); the Box forms honor a communication-avoiding active region
-// (used by the Chebyshev smoother).
+// solver), one component c of a K-wide field at a time (c is 0 on a
+// plain field); the Box forms honor a communication-avoiding active
+// region (used by the Chebyshev smoother).
 // ---------------------------------------------------------------------------
 
-/// Local <a, b> over the interior.
-real_t dot_interior(const BrickedArray& a, const BrickedArray& b);
+/// Local <a_c, b_c> over the interior. A component of a K-wide field
+/// reduces over the chunk plan of a plain field, so its dot is bitwise
+/// equal to the plain dot of that component.
+real_t dot_interior(const BrickedArray& a, const BrickedArray& b, int c = 0);
 
-/// y += alpha * x over the interior.
-void axpy_interior(BrickedArray& y, real_t alpha, const BrickedArray& x);
+/// y_c += alpha * x_c over the interior.
+void axpy_interior(BrickedArray& y, real_t alpha, const BrickedArray& x,
+                   int c = 0);
 
-/// y = x + beta * y over the interior (CG direction update).
-void xpay_interior(BrickedArray& y, const BrickedArray& x, real_t beta);
+/// y_c = x_c + beta * y_c over the interior (CG direction update).
+void xpay_interior(BrickedArray& y, const BrickedArray& x, real_t beta,
+                   int c = 0);
 
-/// dst = src over the interior.
+/// dst = src over the interior, all components.
 void copy_interior(BrickedArray& dst, const BrickedArray& src);
 
 /// y += alpha * x over `active`.
@@ -107,30 +114,6 @@ void cheby_p_update(BrickedArray& p, const BrickedArray& r, real_t inv_diag,
 /// map to the global checkerboard. Radius-1 operator only.
 void gs_color_sweep(BrickedArray& x, const BrickedArray& b, real_t alpha,
                     real_t beta, int color, Vec3 origin, const Box& active);
-
-// Per-component forms (the bottom CG and the per-right-hand-side
-// convergence norms): component c of a K-wide field only. On a plain
-// field c is 0 and each is exactly the kernel above.
-real_t max_norm(const BrickedArray& a, int c);
-real_t dot_interior(const BrickedArray& a, const BrickedArray& b, int c);
-void axpy_interior(BrickedArray& y, real_t alpha, const BrickedArray& x,
-                   int c);
-void xpay_interior(BrickedArray& y, const BrickedArray& x, real_t beta,
-                   int c);
-
-namespace detail {
-
-// Per-chunk reduction bodies. dot_range is shared between
-// dot_interior and the per-component K-wide dot (src/batch); noinline
-// so both callers run the exact same compiled loop — hand a
-// component's gathered chunk to the same function over the same chunk
-// plan and the partial sums (and therefore the fixed reduction tree)
-// are bitwise identical to a one-component field.
-[[gnu::noinline]] real_t sum_sq_range(const real_t* p, std::int64_t n);
-[[gnu::noinline]] real_t dot_range(const real_t* a, const real_t* b,
-                                   std::int64_t n);
-
-}  // namespace detail
 
 /// fine(i,j,k) = coarse(i/2,j/2,k/2) (piecewise-constant prolongation;
 /// the increment form is the V-cycle's correction transfer).

@@ -20,8 +20,8 @@
 // the offending line or the line directly above):
 //
 //   no-raw-omp          1. No raw `#pragma omp parallel` in src/gmg,
-//                       src/dsl, src/brick, src/check, src/batch or
-//                       src/amr (`omp simd` is fine): all parallelism
+//                       src/dsl, src/brick, src/check or src/amr
+//                       (`omp simd` is fine): all parallelism
 //                       must go through the exec:: runtime so chunk
 //                       plans stay deterministic and the src/check
 //                       hazard tracker sees every launch.
@@ -48,8 +48,8 @@
 //                       through KernelPlan bindings ('.' or '->'):
 //                       a bare call bypasses the specializer registry
 //                       and silently forks the schedule from its plan.
-//   effect-summary      7. Every kernel in src/gmg, src/dsl,
-//                       src/batch, src/amr — a namespace-scope
+//   effect-summary      7. Every kernel in src/gmg, src/dsl and
+//                       src/amr — a namespace-scope
 //                       non-template function that launches a
 //                       parallel loop (parallel_for, for_each_row,
 //                       for_each_plan_brick, sweep_rows, run_plan,
@@ -60,7 +60,7 @@
 //                       schedule verifier proves whole-cycle hazard
 //                       freedom from these summaries; a kernel
 //                       without one is invisible to the proof.
-//   exchange-call       8. In src/gmg, src/batch and src/amr, direct
+//   exchange-call       8. In src/gmg and src/amr, direct
 //                       ghost-exchange engine calls
 //                       (`*.exchange->exchange/begin/finish(...)`,
 //                       `patch_exchange().exchange(...)`) may only
@@ -408,8 +408,7 @@ FileClass classify(const std::string& rel) {
   fc.rel = rel;
   const std::string base = rel.substr(rel.find_last_of('/') + 1);
   for (const char* d :
-       {"src/gmg/", "src/dsl/", "src/brick/", "src/check/", "src/batch/",
-        "src/amr/"})
+       {"src/gmg/", "src/dsl/", "src/brick/", "src/check/", "src/amr/"})
     if (starts_with(rel, d)) fc.in_kernel_dirs = true;
   fc.in_rng = rel == "src/common/rng.hpp";
   fc.in_clock_wrapper = starts_with(rel, "src/trace/") ||
@@ -419,9 +418,9 @@ FileClass classify(const std::string& rel) {
                    (starts_with(rel, "src/") &&
                     base.find("fused") != std::string::npos);
   fc.is_solver_cpp = rel == "src/gmg/solver.cpp";
-  for (const char* d : {"src/gmg/", "src/dsl/", "src/batch/", "src/amr/"})
+  for (const char* d : {"src/gmg/", "src/dsl/", "src/amr/"})
     if (starts_with(rel, d)) fc.in_effect_dirs = true;
-  for (const char* d : {"src/gmg/", "src/batch/", "src/amr/"})
+  for (const char* d : {"src/gmg/", "src/amr/"})
     if (starts_with(rel, d)) fc.in_exchange_dirs = true;
   return fc;
 }
@@ -723,16 +722,16 @@ const SelfTest kSelfTests[] = {
      "namespace gmg {\nvoid GmgSolver::sweep(MgLevel& lev) {\n"
      "  lev.plan.smooth(active);\n}\n}\n",
      nullptr},
-    {"kernel without effects flagged", "src/batch/foo_kernels.cpp",
-     "namespace gmg::batch {\nvoid my_kernel(BrickedArray& out) {\n"
+    {"kernel without effects flagged", "src/gmg/foo_kernels.cpp",
+     "namespace gmg {\nvoid my_kernel(BrickedArray& out) {\n"
      "  exec::parallel_for(plan, body);\n}\n}\n",
      "effect-summary"},
-    {"effects in sibling header clean", "src/batch/foo_kernels.cpp",
-     "namespace gmg::batch {\nvoid my_kernel(BrickedArray& out) {\n"
+    {"effects in sibling header clean", "src/gmg/foo_kernels.cpp",
+     "namespace gmg {\nvoid my_kernel(BrickedArray& out) {\n"
      "  check::KernelScope scope(\"k\", {});\n"
      "  exec::parallel_for(plan, body);\n}\n}\n",
-     nullptr, "src/batch/foo_kernels.hpp",
-     "namespace gmg::batch {\nconstexpr check::EffectSummary "
+     nullptr, "src/gmg/foo_kernels.hpp",
+     "namespace gmg {\nconstexpr check::EffectSummary "
      "my_kernel_effects() { return {}; }\n}\n"},
     {"template helper exempt from rule 7", "src/dsl/foo.hpp",
      "namespace gmg::dsl {\ntemplate <typename BD>\nvoid run_all(BD bd) {\n"
